@@ -31,7 +31,6 @@ from .search import (
     paper_check,
     run_search,
     sporadic_check,
-    sporadic_scan,
     verify_hit,
 )
 from .sequence import (
@@ -41,6 +40,7 @@ from .sequence import (
     sporadic_list,
     square_hits_scan,
     trace_sequence,
+    trace_term,
 )
 from .traces import (
     PrimePower,
@@ -88,10 +88,10 @@ __all__ = [
     "short_weierstrass",
     "sporadic_check",
     "sporadic_list",
-    "sporadic_scan",
     "square_hits_scan",
     "trace_sequence",
     "trace_spec",
+    "trace_term",
     "verify_hit",
     "waterhouse_admissible",
 ]

@@ -206,7 +206,6 @@ def _cmd_paper_check(args) -> int:
                           admissibility="waterhouse", degeneracy="exclude")
     report = run_search(config)
     diff = paper_check(report)
-    report.discrepancies = diff
     _print_paper_check(diff)
     return EXIT_OK if diff.clean else EXIT_MISMATCH
 

@@ -335,16 +335,19 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
 
     Builds GF(q^n) explicitly, maps the coefficients through the canonical
     field embedding, and counts.  This is the independent oracle for the
-    trace recurrence; it never consults it.
+    trace recurrence; it never consults it.  A limit above the field-size
+    guard (2^20) is refused before anything is built.
     """
     ctx = curve.ctx
     if n < 1:
         raise DomainError(f"extension degree must be >= 1, got {n}")
+    if limit > DEFAULT_FIELD_SIZE_LIMIT:
+        raise ResourceLimitError(
+            f"count limit {limit} exceeds the field-size guard of {DEFAULT_FIELD_SIZE_LIMIT}")
     if ctx.q ** n > limit:
         raise ResourceLimitError(
             f"extension field size {ctx.q}^{n} exceeds the count guard of {limit}")
-    big = make_field_context(ctx.p, ctx.b * n,
-                             max_size=max(DEFAULT_FIELD_SIZE_LIMIT, limit))
+    big = make_field_context(ctx.p, ctx.b * n)
     embedding = embed_field(ctx, big)
     quint = tuple(embedding.map_tuple(c) for c in curve.coefficient_tuples())
     return _count_curve(big, quint)

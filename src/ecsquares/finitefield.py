@@ -388,7 +388,7 @@ def _cached_context(p: int, b: int) -> FieldContext:
     return FieldContext(p, b, _find_modulus(p, b))
 
 
-def make_field_context(p: int, b: int, *, max_size: int = DEFAULT_FIELD_SIZE_LIMIT) -> FieldContext:
+def make_field_context(p: int, b: int) -> FieldContext:
     """The canonical GF(p^b) context (cached per (p, b)).
 
     Raises DomainError for invalid p or b and ResourceLimitError when p**b
@@ -398,9 +398,9 @@ def make_field_context(p: int, b: int, *, max_size: int = DEFAULT_FIELD_SIZE_LIM
         raise DomainError(f"field degree must be >= 1, got {b}")
     if not is_prime(p):
         raise DomainError(f"field characteristic must be prime, got {p}")
-    if p ** b > max_size:
+    if p ** b > DEFAULT_FIELD_SIZE_LIMIT:
         raise ResourceLimitError(
-            f"field size {p}^{b} exceeds the guard of {max_size}")
+            f"field size {p}^{b} exceeds the guard of {DEFAULT_FIELD_SIZE_LIMIT}")
     return _cached_context(p, b)
 
 

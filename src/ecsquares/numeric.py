@@ -6,6 +6,8 @@ anywhere, so the results stay exact for operands of thousands of bits.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError, ResourceLimitError
 
 # Trial division is the only factoring strategy used here.  Candidate
@@ -16,22 +18,13 @@ TRIAL_DIVISOR_CAP = 1 << 20
 
 
 def isqrt(x: int) -> int:
-    """Floor of the square root of x, by Newton iteration on integers.
+    """Floor of the square root of x (``math.isqrt``), rejecting negative x.
 
     Returns r with r*r <= x < (r+1)*(r+1).
     """
     if x < 0:
         raise DomainError(f"isqrt of negative number {x}")
-    if x < 2:
-        return x
-    # Initial guess >= sqrt(x); the iteration then descends monotonically
-    # and the first non-decreasing step is the floor square root.
-    r = 1 << ((x.bit_length() + 1) // 2)
-    while True:
-        nxt = (r + x // r) // 2
-        if nxt >= r:
-            return r
-        r = nxt
+    return math.isqrt(x)
 
 
 def _square_residue_table(m: int) -> bytes:

@@ -11,12 +11,11 @@ modulo the documented errata".
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .numeric import prime_power_decompose
-from .sequence import SquareHit, square_hits_scan, sporadic_list, trace_sequence
+from .sequence import SquareHit, square_hits_scan, sporadic_list, trace_term
 from .traces import (
     PrimePower,
     classify_degeneracy,
@@ -52,7 +51,6 @@ class SearchReport:
     hits: list[SquareHit]
     pairs_scanned: int
     elapsed_seconds: float
-    discrepancies: "PaperCheckReport | None" = None
 
 
 def prime_powers_below(qmax: int) -> list[PrimePower]:
@@ -82,27 +80,15 @@ def search_pairs(config: SearchConfig) -> list[tuple[PrimePower, int]]:
     return pairs
 
 
-def run_search(config: SearchConfig, *, jobs: int = 1) -> SearchReport:
-    """Scan all selected pairs; deterministic regardless of worker scheduling.
+def run_search(config: SearchConfig) -> SearchReport:
+    """Scan all selected pairs and re-verify every hit with ``verify_hit``.
 
-    The work unit is one (q, a) pair and results are merged by canonical
-    (q, a, n) sort, so parallel and serial executions produce identical
-    reports.
+    Hits are returned in canonical (q, a, n) order.
     """
     start = time.perf_counter()
     pairs = search_pairs(config)
-    nmax = config.nmax
-
-    def scan(pair: tuple[PrimePower, int]) -> list[SquareHit]:
-        pp, a = pair
-        return square_hits_scan(pp, a, nmax)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(scan, pairs))
-    else:
-        chunks = [scan(pair) for pair in pairs]
-    hits = sorted((hit for chunk in chunks for hit in chunk),
+    hits = sorted((hit for pp, a in pairs
+                   for hit in square_hits_scan(pp, a, config.nmax)),
                   key=lambda h: h.triple())
     for hit in hits:
         if not verify_hit(hit):
@@ -116,27 +102,14 @@ def run_search(config: SearchConfig, *, jobs: int = 1) -> SearchReport:
 
 
 def verify_hit(hit: SquareHit) -> bool:
-    """Recompute the recurrence from scratch and confirm u^2 = q^n + 1 - a_n."""
-    for term in trace_sequence(hit.q, hit.a, hit.n):
-        if term.n == hit.n:
-            return hit.u * hit.u == term.N_n
-    return False
+    """Confirm u^2 = q^n + 1 - a_n, with a_n from Lucas doubling (``trace_term``).
 
-
-def sporadic_scan(qmax: int = 50, nmax: int = 1000) -> list[SquareHit]:
-    """Squares of degenerate admissible pairs at n NOT divisible by m.
-
-    For q < 50 and n <= 1000 this must reproduce exactly sporadic_list().
+    Doubling is independent of the recurrence loop that scans for hits, and
+    costs O(log n) multiplications per hit.  A hit with n < 1 is rejected.
     """
-    out = []
-    config = SearchConfig(qmax=qmax, nmax=nmax,
-                          admissibility="waterhouse", degeneracy="only")
-    for pp, a in search_pairs(config):
-        m = classify_degeneracy(pp, a)
-        for hit in square_hits_scan(pp, a, nmax):
-            if hit.n % m != 0:
-                out.append(hit)
-    return sorted(out, key=lambda h: h.triple())
+    if hit.n < 1:
+        return False
+    return hit.u * hit.u == hit.q.q ** hit.n + 1 - trace_term(hit.q, hit.a, hit.n)
 
 
 # -- published search table and its verified errata ---------------------------
@@ -276,8 +249,14 @@ def paper_check(report: SearchReport) -> PaperCheckReport:
 
 
 def sporadic_check(qmax: int = 50, nmax: int = 1000) -> tuple[bool, list, list]:
-    """Compare sporadic_scan against the embedded sporadic table (q < qmax)."""
-    found = {hit.triple(): hit.u for hit in sporadic_scan(qmax, nmax)}
+    """Compare the squares of degenerate admissible pairs at n NOT divisible by m
+    against the embedded sporadic table (q < qmax).
+
+    For q < 50 and n <= 1000 the two must agree exactly.
+    """
+    report = run_search(SearchConfig(qmax=qmax, nmax=nmax, degeneracy="only"))
+    found = {hit.triple(): hit.u for hit in report.hits
+             if hit.n % hit.degenerate_m != 0}
     expected = {hit.triple(): hit.u for hit in sporadic_list()
                 if hit.q.q < qmax}
     missing = sorted(t for t in expected if found.get(t) != expected[t])

@@ -7,7 +7,9 @@ never materialized: a_n satisfies the integer recurrence
     a_0 = 2,  a_1 = a,  a_n = a * a_(n-1) - q * a_(n-2),
 
 which is evaluated exactly in arbitrary precision (a_1000 for q = 49 needs
-about 5615 bits).
+about 5615 bits).  ``trace_sequence`` is the only loop over it; ``trace_term``
+evaluates a single a_n by Lucas doubling, so checking a hit never re-runs the
+loop that found it.
 """
 
 from __future__ import annotations
@@ -50,10 +52,7 @@ class SquareHit:
 
 def trace_sequence(q: "int | PrimePower", a: int, nmax: int) -> Iterator[SequenceTerm]:
     """Terms n = 1..nmax of the trace recurrence, streamed in O(1) memory."""
-    pp = as_prime_power(q)
-    qv = pp.q
-    if a * a > 4 * qv:
-        raise DomainError(f"trace {a} violates the Hasse bound for q = {qv}")
+    qv = _checked_q(q, a)
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
     prev, cur = 2, a
@@ -62,6 +61,31 @@ def trace_sequence(q: "int | PrimePower", a: int, nmax: int) -> Iterator[Sequenc
         q_pow *= qv
         yield SequenceTerm(n=n, a_n=cur, N_n=q_pow + 1 - cur)
         prev, cur = cur, a * cur - qv * prev
+
+
+def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
+    """a_n alone, by Lucas doubling: O(log n) multiplications, no recurrence loop.
+
+    Walks the bits of n from the top, keeping (a_k, a_(k+1), q^k) and using
+    a_2k = a_k^2 - 2q^k and a_(2k+1) = a_k * a_(k+1) - a * q^k.
+    """
+    qv = _checked_q(q, a)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    v, w, q_k = 2, a, 1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w, q_k = v * w - a * q_k, w * w - 2 * q_k * qv, q_k * q_k * qv
+        else:
+            v, w, q_k = v * v - 2 * q_k, v * w - a * q_k, q_k * q_k
+    return v
+
+
+def _checked_q(q: "int | PrimePower", a: int) -> int:
+    qv = as_prime_power(q).q
+    if a * a > 4 * qv:
+        raise DomainError(f"trace {a} violates the Hasse bound for q = {qv}")
+    return qv
 
 
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
@@ -94,7 +118,7 @@ def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None
         raise DomainError(f"n must be >= 1, got {n}")
     if n % m != 0:
         return None
-    a_n = _trace_term(pp.q, a, n)
+    a_n = trace_term(pp, a, n)
     q_n = pp.q ** n
     s = isqrt(q_n)
     if s * s != q_n or a_n not in (2 * s, -2 * s):
@@ -103,13 +127,6 @@ def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None
             f"for degenerate pair ({pp.q}, {a})")
     u = s - 1 if a_n > 0 else s + 1
     return SquareHit(q=pp, a=a, n=n, u=u, degenerate_m=m, source="guaranteed")
-
-
-def _trace_term(qv: int, a: int, n: int) -> int:
-    prev, cur = 2, a
-    for _ in range(n - 1):
-        prev, cur = cur, a * cur - qv * prev
-    return cur if n >= 1 else prev
 
 
 # The complete list of degenerate-pair squares occurring at n not divisible

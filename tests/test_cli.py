@@ -92,6 +92,14 @@ def test_verify_extension(capsys):
     assert all(line.endswith(" ok") for line in lines)
 
 
+def test_verify_extension_count_limit_above_field_guard(capsys):
+    # 2^21 > 2^20: refused at the first count, before GF(2) is extended at all.
+    code, _, err = run_cli(capsys, "verify-extension", "--q", "2", "--a", "1",
+                           "--count-limit", "2097152")
+    assert code == 2
+    assert "guard" in err
+
+
 def test_verify_extension_inadmissible(capsys):
     code, _, err = run_cli(capsys, "verify-extension", "--q", "27", "--a", "3")
     assert code == 2
@@ -100,6 +108,9 @@ def test_verify_extension_inadmissible(capsys):
 
 def test_paper_check_rejects_wrong_ranges(capsys):
     code, _, err = run_cli(capsys, "paper-check", "--qmax", "10")
+    assert code == 2
+    # Refused before any search runs, not after an unbounded one.
+    code, _, err = run_cli(capsys, "paper-check", "--nmax", "1000000000")
     assert code == 2
 
 

@@ -16,7 +16,7 @@ from ecsquares import (
 )
 from ecsquares.curves import _count_curve, _discriminant_t
 
-from conftest import reference_count
+from reference_oracles import reference_count
 
 
 def _curve(ctx, a1, a2, a3, a4, a6):
@@ -195,6 +195,8 @@ def test_base_change_guard():
     assert base_change_count(curve, 3, limit=400) == 324
     with pytest.raises(ResourceLimitError):
         base_change_count(curve, 3, limit=300)
+    with pytest.raises(ResourceLimitError):
+        base_change_count(curve, 1, limit=(1 << 20) + 1)  # above the field-size guard
 
 
 def test_mixed_context_curve_rejected():

@@ -6,7 +6,7 @@ import pytest
 from ecsquares import DomainError, ResourceLimitError, embed_field, make_field_context
 from ecsquares.finitefield import _poly_divmod, render_coeffs
 
-from conftest import reference_mul
+from reference_oracles import reference_mul
 
 
 # -- modulus selection ---------------------------------------------------------

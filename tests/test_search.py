@@ -99,14 +99,6 @@ def test_search_is_deterministic_and_sorted():
     assert len(set(triples)) == len(triples)
 
 
-def test_threaded_search_equals_serial():
-    config = SearchConfig(qmax=20, nmax=60)
-    serial = run_search(config)
-    threaded = run_search(config, jobs=4)
-    assert [(h.triple(), h.u) for h in serial.hits] == \
-           [(h.triple(), h.u) for h in threaded.hits]
-
-
 def test_hasse_mode_is_a_superset_with_the_inadmissible_entry():
     waterhouse = run_search(SearchConfig(qmax=28, nmax=10))
     hasse = run_search(SearchConfig(qmax=28, nmax=10, admissibility="hasse"))
@@ -132,6 +124,11 @@ def test_verify_hit():
     bad = SquareHit(q=pp, a=-1, n=2, u=3, degenerate_m=None, source="scan")
     assert verify_hit(good)
     assert not verify_hit(bad)  # N_2 = 8 is not a square
+    # (49, 14) has m = 1 and a_n = 2 * 7^n, so N_1000 = (7^1000 - 1)^2.
+    s = 7 ** 1000
+    q49 = PrimePower.from_q(49)
+    assert verify_hit(SquareHit(q=q49, a=14, n=1000, u=s - 1, degenerate_m=1, source="guaranteed"))
+    assert not verify_hit(SquareHit(q=q49, a=14, n=1000, u=s, degenerate_m=1, source="guaranteed"))
 
 
 def _default_report_with(hits):

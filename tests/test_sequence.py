@@ -1,14 +1,25 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecsquares import (
     DomainError,
     base_change_count,
     guaranteed_square,
+    hasse_bound,
     realize_trace,
     sporadic_list,
     square_hits_scan,
     trace_sequence,
+    trace_term,
 )
+from ecsquares.search import prime_powers_below
+
+# (q, a) over every prime power q < 50 and its whole Hasse range, degenerate
+# pairs included.
+HASSE_PAIRS = st.sampled_from(prime_powers_below(50)).flatmap(
+    lambda pp: st.tuples(st.just(pp.q),
+                         st.integers(-hasse_bound(pp), hasse_bound(pp))))
 
 
 def test_recurrence_values_q2_a_minus1():
@@ -44,11 +55,26 @@ def test_sequence_invariants_sampled():
 def test_sequence_rejects_hasse_violation():
     with pytest.raises(DomainError):
         list(trace_sequence(2, 3, 5))
+    with pytest.raises(DomainError):
+        trace_term(2, 3, 5)
 
 
 def test_sequence_rejects_bad_nmax():
     with pytest.raises(DomainError):
         list(trace_sequence(2, 1, 0))
+    with pytest.raises(DomainError):
+        trace_term(2, 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HASSE_PAIRS, st.integers(min_value=1, max_value=300))
+@example((49, 14), 300)  # degenerate, m = 1
+@example((32, 8), 299)   # degenerate, m = 4
+@example((2, -1), 11)
+def test_trace_term_matches_recurrence(pair, n):
+    q, a = pair
+    *_, last = trace_sequence(q, a, n)
+    assert trace_term(q, a, n) == last.a_n
 
 
 def test_scan_q2_a_minus1():
