@@ -1,14 +1,18 @@
 """Weierstrass curves over small finite fields: the brute-force counting oracle.
 
-Counting is exhaustive: for every x the number of y solving the curve
-equation is found by table lookup against a precomputed multiset of the
-y-side values (a reorganized but still element-by-element enumeration, exact
-for every characteristic).  No point-counting theory beyond the defining
-equation is used, which is the point: these counts independently validate
-the trace recurrence.
+Counting is exhaustive and one routine serves every characteristic: for
+every x the number of y solving the curve equation is read from a histogram
+of the y-side values, counted once per field by enumerating y.  In odd
+characteristic the square is completed first, so the lookup is at
+f(x) = x^3 + a2 x^2 + a4 x + a6; in characteristic 2 it is at f(x) / L(x)^2
+with L = a1 x + a3, and an x with L(x) = 0 gives one point.  The loop over x
+runs on the field's log and Zech tables.  No point-counting theory beyond
+the defining equation is used, which is the point: these counts
+independently validate the trace recurrence.
 
-Trace realization enumerates reduced curve families that cover every
-isomorphism class in each characteristic:
+Trace realization is one sweep over reduced curve families that cover every
+isomorphism class in each characteristic.  Per (a1, a2, a3, a4) it finds
+the x-side once, then counts each nonsingular a6:
 
 * p > 3:  y^2 = x^3 + A x + B              over (A, B) in lex order
 * p = 3:  y^2 = x^3 + a2 x^2 + a4 x + a6   over (a2, a4, a6) in lex order
@@ -114,67 +118,67 @@ def count_points_naive(curve: WeierstrassCurve) -> CurveCount:
 
 
 def _count_curve(ctx: FieldContext, quint) -> int:
-    """Total points (with infinity) of y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.
-
-    Exhaustive per-element evaluation: a multiset of the y-side values is
-    built once, then each x contributes the multiplicity of its cubic value.
-    In characteristic 2 the substitution y = L z with L = a1 x + a3 reduces
-    the y-side to the fixed map z^2 + z (and L = 0 leaves the bijective
-    squaring map, giving exactly one y).
-    """
+    """Total points (with infinity) of y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6."""
     a1, a2, a3, a4, a6 = quint
-    elems = ctx.element_tuples()
-    cubes = ctx.cube_table()
-    squares = ctx.square_table()
-    add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
-    has_a2, has_a4 = any(a2), any(a4)
+    return 1 + _affine_counter(ctx, a1, a2, a3, a4)(a6)
 
-    def fx(i: int) -> tuple[int, ...]:
-        v = cubes[i]
-        if has_a2:
-            v = add(v, mul(a2, squares[i]))
-        if has_a4:
-            v = add(v, mul(a4, elems[i]))
-        return add(v, a6)
 
-    affine = 0
+def _affine_counter(ctx: FieldContext, a1, a2, a3, a4):
+    """a6 -> affine points of y^2 + L(x) y = x^3 + a2 x^2 + a4 x + a6, L = a1 x + a3.
+
+    In odd characteristic the square is completed first, which leaves L = 1
+    and the y-side y^2.  In characteristic 2, y = L z turns the y-side into
+    L^2 (z^2 + z), and an x with L(x) = 0 has exactly one point because
+    squaring is a bijection.  Either way an x with L(x) != 0 has as many
+    points as the y-side histogram holds at f(x) / L(x)^2.  Everything runs
+    in the log domain: log(x^3 + a2 x^2 + a4 x) and log(1 / L(x)^2) are
+    found once per x, after which each a6 costs one Zech addition per x.
+    """
+    hist = ctx.artin_schreier_counter() if ctx.p == 2 else ctx.square_counter()
+    _, log, zech = ctx.log_tables()
+    q, m = ctx.q, ctx.q - 1
+    add = ctx.add_t
+    a6_shift = ctx.zero_t
     if ctx.p != 2:
-        counter = ctx.square_counter()
-        inv4 = pow(4, -1, ctx.p)
-        if any(a1) or any(a3):
-            # Complete the square: y -> y - L/2 turns the y-side into y^2
-            # and shifts the cubic by L^2/4.
-            for i in range(ctx.q):
-                line = add(mul(a1, elems[i]), a3) if any(a1) else a3
-                shifted = add(fx(i), smul(inv4, mul(line, line)))
-                affine += counter.get(shifted, 0)
-        else:
-            for i in range(ctx.q):
-                affine += counter.get(fx(i), 0)
-    else:
-        counter = ctx.artin_schreier_counter()
-        if not any(a1):
-            if not any(a3):
-                affine = ctx.q  # y^2 = f(x): squaring is a bijection
-            else:
-                inv_l = ctx.inv_t(a3)
-                inv_l2 = mul(inv_l, inv_l)
-                for i in range(ctx.q):
-                    affine += counter.get(mul(fx(i), inv_l2), 0)
-        elif a1 == ctx.one_t and not any(a3):
-            inv_squares = ctx.inverse_square_table()
-            affine = 1  # x = 0: y^2 = a6 has exactly one solution
-            for i in range(1, ctx.q):
-                affine += counter.get(mul(fx(i), inv_squares[elems[i]]), 0)
-        else:
-            for i in range(ctx.q):
-                line = add(mul(a1, elems[i]), a3)
-                if not any(line):
-                    affine += 1
-                else:
-                    inv_l = ctx.inv_t(line)
-                    affine += counter.get(mul(fx(i), mul(inv_l, inv_l)), 0)
-    return affine + 1
+        # Complete the square: y -> y - (a1 x + a3)/2 leaves y^2 on the left
+        # and adds (a1 x + a3)^2 / 4 on the right.
+        mul, smul = ctx.mul_t, ctx.smul_t
+        inv2 = pow(2, -1, ctx.p)
+        inv4 = inv2 * inv2
+        a2 = add(a2, smul(inv4, mul(a1, a1)))
+        a4 = add(a4, smul(inv2, mul(a1, a3)))
+        a6_shift = smul(inv4, mul(a3, a3))
+        a1, a3 = ctx.zero_t, ctx.one_t
+
+    def log_of(u):
+        return log[ctx.index_of(u)]
+
+    # Lists of logs run over x = g^k at position k < m, then x = 0 at m.
+    # zech has length m, so zech[u - c] for 0 <= u, c < m reads zech[(u - c) % m].
+    def plus(logs, c):
+        """log(u + g^c) for each log u."""
+        if c == m:
+            return list(logs)
+        return [c if u == m else m if (w := zech[u - c]) == m else (c + w) % m
+                for u in logs]
+
+    def times_x(logs):
+        return [m if u == m or k == m else (u + k) % m for k, u in enumerate(logs)]
+
+    cubic = times_x(plus(times_x(plus(range(q), log_of(a2))), log_of(a4)))
+    lines = plus(times_x([log_of(a1)] * q), log_of(a3))
+    points = [(u, -2 * l % m) for u, l in zip(cubic, lines) if l != m]
+    vertical = q - len(points)
+
+    def count(a6) -> int:
+        c = log_of(add(a6, a6_shift))
+        if c == m:
+            return vertical + sum([hist[u if u == m else (u + s) % m] for u, s in points])
+        return vertical + sum([
+            hist[(c + s) % m if u == m else m if (w := zech[u - c]) == m else (c + w + s) % m]
+            for u, s in points])
+
+    return count
 
 
 # -- trace realization --------------------------------------------------------
@@ -206,127 +210,48 @@ def _realization_table(pp: PrimePower) -> dict[int, tuple]:
     table = _REALIZATION_CACHE.get(key)
     if table is None:
         ctx = make_field_context(pp.p, pp.b)
-        if pp.p > 3:
-            table = _sweep_short(ctx)
-        elif pp.p == 3:
-            table = _sweep_char3(ctx)
-        else:
-            table = _sweep_char2(ctx)
+        table = {}
+        for prefix, a6_values in _families(ctx):
+            count = _affine_counter(ctx, *prefix)
+            for a6 in a6_values:
+                table.setdefault(ctx.q - count(a6), prefix + (a6,))
         _REALIZATION_CACHE[key] = table
     return table
 
 
-def _sweep_short(ctx: FieldContext) -> dict[int, tuple]:
-    """y^2 = x^3 + A x + B, (A, B) lex; singular iff 4A^3 + 27B^2 = 0."""
-    elems = ctx.element_tuples()
-    cubes = ctx.cube_table()
-    squares = ctx.square_table()
-    counter = ctx.square_counter()
-    add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
-    zero = ctx.zero_t
-    q = ctx.q
-    first: dict[int, tuple] = {}
-    for ia, A in enumerate(elems):
-        four_a3 = smul(4, cubes[ia]) if any(A) else None
-        base = [add(cubes[i], mul(A, elems[i])) for i in range(q)] if any(A) else cubes
-        for ib, B in enumerate(elems):
-            sing = smul(27, squares[ib])
-            if four_a3 is not None:
-                sing = add(sing, four_a3)
-            if not any(sing):
-                continue
-            affine = 0
-            for v in base:
-                affine += counter.get(add(v, B), 0)
-            first.setdefault(q - affine, (zero, zero, zero, A, B))
-    return first
+def _families(ctx: FieldContext):
+    """Each (a1, a2, a3, a4) of the realization families, in order, with its
+    nonsingular a6 values in order.
 
-
-def _sweep_char3(ctx: FieldContext) -> dict[int, tuple]:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6, (a2, a4, a6) lex.
-
-    Here the discriminant reduces to a2^2 a4^2 - a4^3 - a2^3 a6 (checked
-    against the generic formula in the test suite).
+    The discriminant reduces per family: 4A^3 + 27B^2 up to a unit for
+    p > 3, a2^2 a4^2 - a4^3 - a2^3 a6 for p = 3, a6 for the ordinary and
+    a3^4 for the supersingular family of p = 2 (each checked against the
+    generic formula in the test suite).  Ordinary traces are odd and
+    supersingular ones even, so the first-curve table never has to arbitrate
+    between the two families of p = 2.
     """
     elems = ctx.element_tuples()
-    cubes = ctx.cube_table()
-    squares = ctx.square_table()
-    counter = ctx.square_counter()
-    add, sub, mul = ctx.add_t, ctx.sub_t, ctx.mul_t
-    zero = ctx.zero_t
-    q = ctx.q
-    first: dict[int, tuple] = {}
-    for i2, a2 in enumerate(elems):
-        a2_sq = squares[i2]
-        a2_cb = cubes[i2]
-        for i4, a4 in enumerate(elems):
-            disc_const = sub(mul(a2_sq, squares[i4]), cubes[i4])
-            base = cubes
-            if any(a2):
-                base = [add(base[i], mul(a2, squares[i])) for i in range(q)]
-            if any(a4):
-                base = [add(base[i], mul(a4, elems[i])) for i in range(q)]
-            for a6 in elems:
-                if not any(sub(disc_const, mul(a2_cb, a6))):
-                    continue
-                affine = 0
-                for v in base:
-                    affine += counter.get(add(v, a6), 0)
-                first.setdefault(q - affine, (zero, a2, zero, a4, a6))
-    return first
-
-
-def _sweep_char2(ctx: FieldContext) -> dict[int, tuple]:
-    """Ordinary family first, then supersingular; disjoint trace parities."""
-    elems = ctx.element_tuples()
-    cubes = ctx.cube_table()
-    squares = ctx.square_table()
-    counter = ctx.artin_schreier_counter()
-    inv_squares = ctx.inverse_square_table()
-    add, mul = ctx.add_t, ctx.mul_t
     zero, one = ctx.zero_t, ctx.one_t
-    q = ctx.q
-
-    # Ordinary: y^2 + x y = x^3 + a2 x^2 + a6, nonsingular iff a6 != 0.
-    # For x != 0 substitute y = x z: z^2 + z = x + a2 + a6 / x^2; x = 0
-    # contributes the single solution of y^2 = a6.  The a6 loop is hoisted
-    # outside the a2 loop to reuse a6/x^2; the lex-first (a2, a6) per trace
-    # is recovered by index comparison.
-    best: dict[int, tuple[tuple[int, int], tuple]] = {}
-    nonzero = elems[1:]
-    for i6, a6 in enumerate(elems):
-        if not any(a6):
-            continue
-        shifted = [add(x, mul(a6, inv_squares[x])) for x in nonzero]
-        for i2, a2 in enumerate(elems):
-            affine = 1
-            for v in shifted:
-                affine += counter.get(add(v, a2), 0)
-            trace = q - affine
-            rank = (i2, i6)
-            prev = best.get(trace)
-            if prev is None or rank < prev[0]:
-                best[trace] = (rank, (one, a2, zero, zero, a6))
-    first = {trace: quint for trace, (_, quint) in best.items()}
-
-    # Supersingular: y^2 + a3 y = x^3 + a4 x + a6, nonsingular iff a3 != 0.
-    # Ordinary traces are odd and supersingular traces even, so setdefault
-    # never has to arbitrate between the families.
-    for a3 in elems:
-        if not any(a3):
-            continue
-        y_side: dict[tuple, int] = {}
-        for iy in range(q):
-            v = add(squares[iy], mul(a3, elems[iy]))
-            y_side[v] = y_side.get(v, 0) + 1
-        for a4 in elems:
-            base = [add(cubes[i], mul(a4, elems[i])) for i in range(q)] if any(a4) else cubes
-            for a6 in elems:
-                affine = 0
-                for v in base:
-                    affine += y_side.get(add(v, a6), 0)
-                first.setdefault(q - affine, (zero, zero, a3, a4, a6))
-    return first
+    add, sub, mul, smul = ctx.add_t, ctx.sub_t, ctx.mul_t, ctx.smul_t
+    if ctx.p > 3:
+        b_terms = [smul(27, mul(b, b)) for b in elems]
+        for a in elems:
+            a_term = smul(4, mul(a, mul(a, a)))
+            yield (zero, zero, zero, a), [b for b, t in zip(elems, b_terms) if any(add(a_term, t))]
+    elif ctx.p == 3:
+        for a2 in elems:
+            a2_sq = mul(a2, a2)
+            a6_terms = [mul(mul(a2_sq, a2), a6) for a6 in elems]
+            for a4 in elems:
+                const = sub(mul(a2_sq, mul(a4, a4)), mul(a4, mul(a4, a4)))
+                yield (zero, a2, zero, a4), [a6 for a6, t in zip(elems, a6_terms)
+                                             if any(sub(const, t))]
+    else:
+        for a2 in elems:
+            yield (one, a2, zero, zero), elems[1:]
+        for a3 in elems[1:]:
+            for a4 in elems:
+                yield (zero, zero, a3, a4), elems
 
 
 def base_change_count(curve: WeierstrassCurve, n: int, *,

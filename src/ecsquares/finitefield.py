@@ -24,17 +24,25 @@ Multiplication packs both coefficient vectors into a single big integer
 overflow) and lets CPython's native big-integer multiply do the convolution;
 degree reduction then adds precomputed packed images of t^b..t^(2b-2).  The
 element representation stays a dense coefficient vector throughout.
+
+Exhaustive point counting uses int-indexed tables instead, built once per
+field with ``mul_t``.  An element's index is its position in the enumeration
+and its log is k with element = g^k, for g the first primitive element in
+enumeration order (zero's log is the sentinel q - 1).  ``log_tables`` holds
+exp, log and the Zech table log(1 + g^k), through which logs add:
+log(g^i + g^j) = i + zech[j - i] (mod q - 1).  The y-side histograms map
+log v to the number of y with y^2 = v (odd p, ``square_counter``) or
+y^2 + y = v (p = 2, ``artin_schreier_counter``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .numeric import is_prime
+from .numeric import _least_prime_factor, is_prime
 
 DEFAULT_FIELD_SIZE_LIMIT = 1 << 20
 
@@ -120,11 +128,9 @@ class FieldContext:
             self._kmask = (1 << self._kbits) - 1
             self._packed_rows = self._build_reduction_rows()
         self._element_list: list[tuple[int, ...]] | None = None
-        self._square_counter: Counter | None = None
-        self._as_counter: Counter | None = None
-        self._square_table: list[tuple[int, ...]] | None = None
-        self._cube_table: list[tuple[int, ...]] | None = None
-        self._inverse_square_table: dict[tuple[int, ...], tuple[int, ...]] | None = None
+        self._log_tables: tuple[list[int], list[int], list[int]] | None = None
+        self._square_counter: list[int] | None = None
+        self._as_counter: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.b})"
@@ -258,54 +264,83 @@ class FieldContext:
         for coeffs in self.element_tuples():
             yield FieldElement(self, coeffs)
 
-    # -- cached exhaustive-count tables (used by the curves module) -----------
+    # -- int-indexed counting tables (used by the curves module) --------------
 
-    def square_counter(self) -> Counter:
-        """Multiset of y*y over all y; value -> number of square roots."""
+    def index_of(self, u: tuple[int, ...]) -> int:
+        """Position of a coefficient tuple in ``element_tuples()``."""
+        index = 0
+        for c in u:
+            index = index * self.p + c
+        return index
+
+    def log_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """(exp, log, zech), built once per field with ``mul_t``.
+
+        exp[k] is the index of g^k for k < q - 1; log[i] is the log of the
+        element with index i; zech[k] is log(1 + g^k), so that for nonzero
+        summands log(g^i + g^j) = i + zech[j - i] (mod q - 1).
+        """
+        if self._log_tables is None:
+            q, m = self.q, self.q - 1
+            index = dict(zip(self.element_tuples(), range(q)))
+            g = self._primitive_element()
+            u = self.one_t
+            exp = [index[u]]
+            for _ in range(m - 1):
+                u = self.mul_t(u, g)
+                exp.append(index[u])
+            log = [m] * q
+            for k, i in enumerate(exp):
+                log[i] = k
+            # Adding 1 steps the constant coefficient, the leading digit of an index.
+            step = q // self.p
+            zech = [log[(i + step) % q] for i in exp]
+            self._log_tables = (exp, log, zech)
+        return self._log_tables
+
+    def _primitive_element(self) -> tuple[int, ...]:
+        """The first element of multiplicative order q - 1 in enumeration order."""
+        m = self.q - 1
+        cofactors = []
+        rest = m
+        while rest > 1:
+            r = _least_prime_factor(rest)
+            cofactors.append(m // r)
+            while rest % r == 0:
+                rest //= r
+        for u in self.element_tuples()[1:]:
+            if all(self.pow_t(u, e) != self.one_t for e in cofactors):
+                return u
+        raise RuntimeError(f"invariant violation: {self!r} has no primitive element")
+
+    def square_counter(self) -> list[int]:
+        """Number of y with y*y = v, indexed by log v (odd characteristic)."""
         if self._square_counter is None:
-            mul = self.mul_t
-            self._square_counter = Counter(mul(y, y) for y in self.element_tuples())
+            m = self.q - 1
+            _, log, _ = self.log_tables()
+            hist = [0] * self.q
+            for k in log:  # y = g^k, or y = 0 at k = m
+                hist[m if k == m else 2 * k % m] += 1
+            self._square_counter = hist
         return self._square_counter
 
-    def artin_schreier_counter(self) -> Counter:
-        """Multiset of y*y + y over all y (characteristic 2 only)."""
+    def artin_schreier_counter(self) -> list[int]:
+        """Number of y with y*y + y = v, indexed by log v (characteristic 2)."""
         if self._as_counter is None:
-            mul, add = self.mul_t, self.add_t
-            self._as_counter = Counter(
-                add(mul(y, y), y) for y in self.element_tuples())
+            m = self.q - 1
+            _, log, zech = self.log_tables()
+            hist = [0] * self.q
+            for k in log:  # y^2 + y = y (1 + y), zero at y = 0 and y = 1
+                hist[m if k == m or zech[k] == m else (k + zech[k]) % m] += 1
+            self._as_counter = hist
         return self._as_counter
 
-    def square_table(self) -> list[tuple[int, ...]]:
-        if self._square_table is None:
-            mul = self.mul_t
-            self._square_table = [mul(x, x) for x in self.element_tuples()]
-        return self._square_table
-
-    def cube_table(self) -> list[tuple[int, ...]]:
-        if self._cube_table is None:
-            mul = self.mul_t
-            self._cube_table = [
-                mul(sq, x) for sq, x in zip(self.square_table(), self.element_tuples())]
-        return self._cube_table
-
-    def inverse_square_table(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """x -> 1/x^2 for every nonzero x, built with one batched inversion."""
-        if self._inverse_square_table is None:
-            mul = self.mul_t
-            nonzero = self.element_tuples()[1:]
-            prefix = []
-            acc = self.one_t
-            for x in nonzero:
-                acc = mul(acc, x)
-                prefix.append(acc)
-            acc_inv = self.inv_t(acc)
-            table: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for i in range(len(nonzero) - 1, -1, -1):
-                inv = mul(acc_inv, prefix[i - 1]) if i else acc_inv
-                table[nonzero[i]] = mul(inv, inv)
-                acc_inv = mul(acc_inv, nonzero[i])
-            self._inverse_square_table = table
-        return self._inverse_square_table
+    # The tuple square, cube and 1/x^2 tables are gone: in the log domain
+    # those maps are 2k, 3k and -2k.  The names stay as aliases because the
+    # benchmark's tracer (perfbench/tracing.py) wraps them by name.
+    square_table = log_tables
+    cube_table = log_tables
+    inverse_square_table = log_tables
 
 
 class FieldElement:

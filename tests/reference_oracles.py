@@ -1,8 +1,10 @@
 """Shared independent reference implementations used as test oracles.
 
 These deliberately avoid the library's optimized paths: counting is a plain
-double loop over (x, y) and multiplication is schoolbook convolution, so they
-can catch errors in the table-based counting and the packed multiplication.
+double loop over (x, y) on coefficient tuples and multiplication is
+schoolbook convolution.  So they can catch errors in the packed big-integer
+``mul_t``, in the exp, log and Zech tables built with it, and in the
+log-domain counting loop that reads those tables.
 """
 
 from __future__ import annotations

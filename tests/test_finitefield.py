@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -156,6 +158,69 @@ def test_packed_mul_matches_schoolbook_large_degree():
             u = tuple(rng.randrange(p) for _ in range(b))
             if any(u):
                 assert ctx.mul_t(u, ctx.inv_t(u)) == ctx.one_t
+
+
+# -- counting tables -----------------------------------------------------------
+
+def _table_contexts(small_contexts):
+    return small_contexts + [make_field_context(2, 8), make_field_context(3, 5)]
+
+
+def test_exp_and_log_are_inverse_bijections(small_contexts):
+    for ctx in _table_contexts(small_contexts):
+        exp, log, zech = ctx.log_tables()
+        m = ctx.q - 1
+        assert sorted(exp) == list(range(1, ctx.q)), ctx
+        assert all(log[i] == k for k, i in enumerate(exp)), ctx
+        assert log[0] == m and len(log) == ctx.q and len(zech) == m
+
+
+def test_generator_is_first_primitive_element(small_contexts):
+    for ctx in _table_contexts(small_contexts):
+        exp, log, _ = ctx.log_tables()
+        m = ctx.q - 1
+        g = exp[1 % m]
+        # An element g^k generates the group exactly when gcd(k, q - 1) = 1.
+        assert math.gcd(log[g], m) == 1
+        assert all(math.gcd(log[i], m) != 1 for i in range(1, g)), ctx
+
+
+def test_exp_table_multiplies_like_schoolbook(small_contexts):
+    rng = random.Random(17)
+    for ctx in _table_contexts(small_contexts):
+        exp, _, _ = ctx.log_tables()
+        tuples = ctx.element_tuples()
+        m = ctx.q - 1
+        for _ in range(60):
+            i, j = rng.randrange(m), rng.randrange(m)
+            assert tuples[exp[(i + j) % m]] == reference_mul(ctx, tuples[exp[i]], tuples[exp[j]])
+
+
+def test_zech_table_adds_one(small_contexts):
+    for ctx in _table_contexts(small_contexts):
+        exp, log, zech = ctx.log_tables()
+        tuples = ctx.element_tuples()
+        for k, z in enumerate(zech):
+            assert z == log[ctx.index_of(ctx.add_t(tuples[exp[k]], ctx.one_t))], (ctx, k)
+
+
+def test_y_side_histogram_matches_enumeration(small_contexts):
+    for ctx in _table_contexts(small_contexts):
+        _, log, _ = ctx.log_tables()
+        if ctx.p == 2:
+            hist = ctx.artin_schreier_counter()
+            values = [ctx.add_t(reference_mul(ctx, y, y), y) for y in ctx.element_tuples()]
+        else:
+            hist = ctx.square_counter()
+            values = [reference_mul(ctx, y, y) for y in ctx.element_tuples()]
+        expected = Counter(log[ctx.index_of(v)] for v in values)
+        assert sum(hist) == ctx.q
+        assert hist == [expected[k] for k in range(ctx.q)], ctx
+
+
+def test_index_of_is_enumeration_position():
+    ctx = make_field_context(3, 3)
+    assert [ctx.index_of(t) for t in ctx.element_tuples()] == list(range(ctx.q))
 
 
 # -- enumeration ---------------------------------------------------------------
