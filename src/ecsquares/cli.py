@@ -174,26 +174,19 @@ def _cmd_verify_extension(args) -> int:
         print("none: inadmissible", file=sys.stderr)
         return EXIT_DOMAIN
     nmax = 0
-    q_pow = 1
-    while q_pow * pp.q <= args.count_limit:
-        q_pow *= pp.q
+    while pp.q ** (nmax + 1) <= args.count_limit:
         nmax += 1
     if nmax == 0:
         print("count limit below q; nothing to verify", file=sys.stderr)
         return EXIT_OK
-    terms = {t.n: t.N_n for t in trace_sequence(pp, args.a, nmax)}
     mismatches = 0
-    n = 1
-    q_pow = pp.q
-    while q_pow <= args.count_limit:
-        counted = base_change_count(curve, n, limit=args.count_limit)
-        expected = terms[n]
-        status = "ok" if counted == expected else "MISMATCH"
-        if counted != expected:
+    for term in trace_sequence(pp, args.a, nmax):
+        counted = base_change_count(curve, term.n, limit=args.count_limit)
+        status = "ok" if counted == term.N_n else "MISMATCH"
+        if counted != term.N_n:
             mismatches += 1
-        print(f"n={n} q^n={q_pow} brute-force={counted} recurrence={expected} {status}")
-        n += 1
-        q_pow *= pp.q
+        print(f"n={term.n} q^n={pp.q ** term.n} brute-force={counted} "
+              f"recurrence={term.N_n} {status}")
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 

@@ -131,8 +131,8 @@ def _affine_counter(ctx: FieldContext, a1, a2, a3, a4):
     L^2 (z^2 + z), and an x with L(x) = 0 has exactly one point because
     squaring is a bijection.  Either way an x with L(x) != 0 has as many
     points as the y-side histogram holds at f(x) / L(x)^2.  Everything runs
-    in the log domain: log(x^3 + a2 x^2 + a4 x) and log(1 / L(x)^2) are
-    found once per x, after which each a6 costs one Zech addition per x.
+    in the log domain: ``poly_logs`` finds log(x^3 + a2 x^2 + a4 x) and
+    log L(x) once per x, after which each a6 costs one Zech addition per x.
     """
     hist = ctx.artin_schreier_counter() if ctx.p == 2 else ctx.square_counter()
     _, log, zech = ctx.log_tables()
@@ -150,28 +150,13 @@ def _affine_counter(ctx: FieldContext, a1, a2, a3, a4):
         a6_shift = smul(inv4, mul(a3, a3))
         a1, a3 = ctx.zero_t, ctx.one_t
 
-    def log_of(u):
-        return log[ctx.index_of(u)]
-
-    # Lists of logs run over x = g^k at position k < m, then x = 0 at m.
-    # zech has length m, so zech[u - c] for 0 <= u, c < m reads zech[(u - c) % m].
-    def plus(logs, c):
-        """log(u + g^c) for each log u."""
-        if c == m:
-            return list(logs)
-        return [c if u == m else m if (w := zech[u - c]) == m else (c + w) % m
-                for u in logs]
-
-    def times_x(logs):
-        return [m if u == m or k == m else (u + k) % m for k, u in enumerate(logs)]
-
-    cubic = times_x(plus(times_x(plus(range(q), log_of(a2))), log_of(a4)))
-    lines = plus(times_x([log_of(a1)] * q), log_of(a3))
+    cubic = ctx.poly_logs([ctx.one_t, a2, a4, ctx.zero_t])
+    lines = ctx.poly_logs([a1, a3])
     points = [(u, -2 * l % m) for u, l in zip(cubic, lines) if l != m]
     vertical = q - len(points)
 
     def count(a6) -> int:
-        c = log_of(add(a6, a6_shift))
+        c = log[ctx.index_of(add(a6, a6_shift))]
         if c == m:
             return vertical + sum([hist[u if u == m else (u + s) % m] for u, s in points])
         return vertical + sum([

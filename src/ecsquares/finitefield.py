@@ -16,23 +16,27 @@ Representation conventions:
 
 Contexts are cached: ``make_field_context(p, b)`` returns the same object for
 the same arguments, so object identity doubles as field identity.  A context
-is immutable after construction apart from internally cached lookup tables,
-and may be shared freely between workers.
+is immutable after construction apart from internally cached lookup tables.
 
 Multiplication packs both coefficient vectors into a single big integer
 (one digit of ``2**k`` bits per coefficient, k sized so that no digit can
 overflow) and lets CPython's native big-integer multiply do the convolution;
 degree reduction then adds precomputed packed images of t^b..t^(2b-2).  The
-element representation stays a dense coefficient vector throughout.
+element representation stays a dense coefficient vector throughout, and
+inverses are Fermat powers u^(q-2).
 
-Exhaustive point counting uses int-indexed tables instead, built once per
-field with ``mul_t``.  An element's index is its position in the enumeration
-and its log is k with element = g^k, for g the first primitive element in
+Everything else runs on int-indexed tables, built once per field with
+``mul_t``.  An element's index is its position in the enumeration and its
+log is k with element = g^k, for g the first primitive element in
 enumeration order (zero's log is the sentinel q - 1).  ``log_tables`` holds
 exp, log and the Zech table log(1 + g^k), through which logs add:
-log(g^i + g^j) = i + zech[j - i] (mod q - 1).  The y-side histograms map
-log v to the number of y with y^2 = v (odd p, ``square_counter``) or
-y^2 + y = v (p = 2, ``artin_schreier_counter``).
+log(g^i + g^j) = i + zech[j - i] (mod q - 1).  On them ``poly_logs`` is the
+one polynomial evaluator: Horner's rule at every element at once.  It serves
+the point counts (the y-side histograms ``square_counter`` for y^2 and
+``artin_schreier_counter`` for y^2 + y, and the x-side in the curves
+module), the modulus search (a polynomial of degree b is irreducible when it
+has no root in any GF(p^d) with d <= b/2) and field embeddings (the first
+root of the small modulus in the big field).
 """
 
 from __future__ import annotations
@@ -47,62 +51,30 @@ from .numeric import _least_prime_factor, is_prime
 DEFAULT_FIELD_SIZE_LIMIT = 1 << 20
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of dense polynomials over Z_p (lowest degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], -1, p)
-    quo = [0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = (num[i] * lead_inv) % p
-        if c:
-            quo[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    return quo, _poly_trim(num)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _poly_trim(out)
-
-
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg//2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(poly, divisor, p)
-            if not rem:
-                return False
+    """Whether a monic poly over Z_p (lowest degree first) is irreducible.
+
+    A reducible poly of degree b has an irreducible factor of degree
+    d <= b/2, whose roots lie in GF(p^d); a root there conversely gives a
+    factor of degree at most d.  So poly is irreducible exactly when it has
+    no root in any of those subfields.
+    """
+    for d in range(1, (len(poly) - 1) // 2 + 1):
+        sub = _cached_context(p, d)
+        if sub.q - 1 in sub.poly_logs([sub.smul_t(c, sub.one_t) for c in reversed(poly)]):
+            return False
     return True
 
 
 def _find_modulus(p: int, b: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree b over Z_p."""
+    """Lexicographically smallest monic irreducible of degree b over Z_p.
+
+    Candidates run in lex order of (c0, ..., c_(b-1)).  Those with c0 = 0
+    are divisible by t, so for b > 1 the search starts at c0 = 1.
+    """
     if b == 1:
         return (0, 1)
-    for coeffs in itertools.product(range(p), repeat=b):
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (b - 1)):
         candidate = list(coeffs) + [1]
         if _is_irreducible(candidate, p):
             return tuple(candidate)
@@ -196,20 +168,7 @@ class FieldContext:
     def inv_t(self, u: tuple[int, ...]) -> tuple[int, ...]:
         if not any(u):
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        p = self.p
-        if self.b == 1:
-            return (pow(u[0], -1, p),)
-        # Extended Euclid: track only the u-side Bezout coefficient.
-        r0, r1 = list(self.modulus), _poly_trim(list(u))
-        t0, t1 = [0], [1]
-        while len(r1) > 1:
-            quo, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(quo, t1, p), p)
-        scale = pow(r1[0], -1, p)
-        out = [(scale * c) % p for c in t1]
-        out.extend([0] * (self.b - len(out)))
-        return tuple(out)
+        return self.pow_t(u, self.q - 2)
 
     def pow_t(self, u: tuple[int, ...], e: int) -> tuple[int, ...]:
         if e < 0:
@@ -264,7 +223,7 @@ class FieldContext:
         for coeffs in self.element_tuples():
             yield FieldElement(self, coeffs)
 
-    # -- int-indexed counting tables (used by the curves module) --------------
+    # -- int-indexed tables and the one polynomial evaluator ------------------
 
     def index_of(self, u: tuple[int, ...]) -> int:
         """Position of a coefficient tuple in ``element_tuples()``."""
@@ -313,26 +272,43 @@ class FieldContext:
                 return u
         raise RuntimeError(f"invariant violation: {self!r} has no primitive element")
 
+    def poly_logs(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
+        """log f(x) at every x, for f given by coefficient tuples, highest degree first.
+
+        Position k < q - 1 holds x = g^k and position q - 1 holds x = 0; a
+        zero value reads q - 1.  This is Horner's rule in the log domain:
+        multiplying by x adds the position, and adding a coefficient g^c
+        takes one Zech step.
+        """
+        _, log, zech = self.log_tables()
+        m = self.q - 1
+        logs = [log[self.index_of(coeffs[0])]] * self.q
+        for coeff in coeffs[1:]:
+            logs = [m if u == m or k == m else (u + k) % m for k, u in enumerate(logs)]
+            c = log[self.index_of(coeff)]
+            if c != m:
+                # zech has length m, so zech[u - c] for 0 <= u, c < m reads zech[(u - c) % m].
+                logs = [c if u == m else m if (w := zech[u - c]) == m else (c + w) % m
+                        for u in logs]
+        return logs
+
+    def _value_counts(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
+        """Number of y with f(y) = v, indexed by log v."""
+        hist = [0] * self.q
+        for v in self.poly_logs(coeffs):
+            hist[v] += 1
+        return hist
+
     def square_counter(self) -> list[int]:
         """Number of y with y*y = v, indexed by log v (odd characteristic)."""
         if self._square_counter is None:
-            m = self.q - 1
-            _, log, _ = self.log_tables()
-            hist = [0] * self.q
-            for k in log:  # y = g^k, or y = 0 at k = m
-                hist[m if k == m else 2 * k % m] += 1
-            self._square_counter = hist
+            self._square_counter = self._value_counts((self.one_t, self.zero_t, self.zero_t))
         return self._square_counter
 
     def artin_schreier_counter(self) -> list[int]:
         """Number of y with y*y + y = v, indexed by log v (characteristic 2)."""
         if self._as_counter is None:
-            m = self.q - 1
-            _, log, zech = self.log_tables()
-            hist = [0] * self.q
-            for k in log:  # y^2 + y = y (1 + y), zero at y = 0 and y = 1
-                hist[m if k == m or zech[k] == m else (k + zech[k]) % m] += 1
-            self._as_counter = hist
+            self._as_counter = self._value_counts((self.one_t, self.one_t, self.zero_t))
         return self._as_counter
 
     # The tuple square, cube and 1/x^2 tables are gone: in the log domain
@@ -475,6 +451,8 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
 
     The image of the small field's generator is the first element, in
     enumeration order of the big field, that is a root of the small modulus.
+    ``poly_logs`` evaluates the modulus at every big-field element at once;
+    being irreducible of degree dividing B, it has all its roots there.
     """
     if small.p != big.p:
         raise DomainError(
@@ -482,16 +460,11 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
     if big.b % small.b != 0:
         raise DomainError(
             f"cannot embed {small!r} into {big!r}: {small.b} does not divide {big.b}")
-    modulus = small.modulus
-    add, mul, smul = big.add_t, big.mul_t, big.smul_t
-    for candidate in big.element_tuples():
-        # Horner evaluation of the small modulus at the candidate.
-        acc = big.zero_t
-        for c in reversed(modulus):
-            acc = mul(acc, candidate)
-            if c:
-                acc = add(acc, smul(c, big.one_t))
-        if not any(acc):
-            return FieldEmbedding(small, big, candidate)
-    raise RuntimeError(
-        f"invariant violation: {small!r} modulus has no root in {big!r}")
+    exp, _, _ = big.log_tables()
+    m = big.q - 1
+    values = big.poly_logs([big.smul_t(c, big.one_t) for c in reversed(small.modulus)])
+    roots = [0 if k == m else exp[k] for k, v in enumerate(values) if v == m]
+    if not roots:
+        raise RuntimeError(
+            f"invariant violation: {small!r} modulus has no root in {big!r}")
+    return FieldEmbedding(small, big, big.element_tuples()[min(roots)])

@@ -1,13 +1,16 @@
 """Shared independent reference implementations used as test oracles.
 
 These deliberately avoid the library's optimized paths: counting is a plain
-double loop over (x, y) on coefficient tuples and multiplication is
-schoolbook convolution.  So they can catch errors in the packed big-integer
-``mul_t``, in the exp, log and Zech tables built with it, and in the
-log-domain counting loop that reads those tables.
+double loop over (x, y) on coefficient tuples, multiplication is schoolbook
+convolution and irreducibility is trial division over Z_p[x].  So they can
+catch errors in the packed big-integer ``mul_t``, in the exp, log and Zech
+tables built with it, in the log-domain evaluator ``poly_logs`` and the
+counting loop, modulus search and embeddings that run on it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 
 def reference_mul(ctx, u, v):
@@ -41,3 +44,24 @@ def reference_count(ctx, quint):
             if lhs == rhs:
                 total += 1
     return total
+
+
+def _poly_trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of dense polynomials over Z_p (lowest degree first)."""
+    num = list(num)
+    dd = len(den) - 1
+    lead_inv = pow(den[-1], -1, p)
+    quo = [0] * max(0, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = (num[i] * lead_inv) % p
+        if c:
+            quo[i - dd] = c
+            for j in range(dd + 1):
+                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
+    return quo, _poly_trim(num)

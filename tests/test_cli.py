@@ -100,6 +100,15 @@ def test_verify_extension_count_limit_above_field_guard(capsys):
     assert "guard" in err
 
 
+def test_verify_extension_nothing_to_verify(capsys):
+    # q = 2 already exceeds a count limit of 1, so no extension is counted.
+    code, out, err = run_cli(capsys, "verify-extension", "--q", "2", "--a", "1",
+                             "--count-limit", "1")
+    assert code == 0
+    assert out == ""
+    assert "nothing to verify" in err
+
+
 def test_verify_extension_inadmissible(capsys):
     code, _, err = run_cli(capsys, "verify-extension", "--q", "27", "--a", "3")
     assert code == 2

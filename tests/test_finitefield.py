@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,9 +7,10 @@ from collections import Counter
 import pytest
 
 from ecsquares import DomainError, ResourceLimitError, embed_field, make_field_context
-from ecsquares.finitefield import _poly_divmod, render_coeffs
+from ecsquares.finitefield import _is_irreducible, render_coeffs
+from ecsquares.numeric import is_prime
 
-from reference_oracles import reference_mul
+from reference_oracles import _poly_divmod, reference_mul
 
 
 # -- modulus selection ---------------------------------------------------------
@@ -57,6 +59,29 @@ def test_frozen_moduli():
     assert make_field_context(3, 3).modulus == (1, 0, 2, 1)
     assert make_field_context(5, 2).modulus == (1, 1, 1)
     assert make_field_context(7, 2).modulus == (1, 0, 1)
+
+
+# sha256 over f"{p} {b} {modulus}" for every prime p and b >= 2 with
+# p^b <= 2^16, by p then b, joined by newlines.  It was computed with
+# trial-division irreducibility, so it pins that the root test in subfields
+# picks the same lexicographically first modulus.
+MODULI_SHA256 = "05e16849d2f1f503829e49c518d1587381bacc4049b7e2711104426c408cdf2f"
+
+
+def test_moduli_are_pinned():
+    lines = [f"{p} {b} {make_field_context(p, b).modulus}"
+             for p in range(2, 257) if is_prime(p)
+             for b in range(2, 17) if p ** b <= 1 << 16]
+    assert len(lines) == 93
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MODULI_SHA256
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_root_test_agrees_with_trial_division(p, max_degree):
+    for degree in range(2, max_degree + 1):
+        for tail in itertools.product(range(p), repeat=degree):
+            poly = list(tail) + [1]
+            assert _is_irreducible(poly, p) == _brute_force_irreducible(poly, p), poly
 
 
 def test_context_construction_guards():
@@ -218,6 +243,29 @@ def test_y_side_histogram_matches_enumeration(small_contexts):
         assert hist == [expected[k] for k in range(ctx.q)], ctx
 
 
+def _schoolbook_eval(ctx, coeffs, x):
+    """f(x) by Horner's rule with reference_mul; coefficients highest degree first."""
+    acc = ctx.zero_t
+    for c in coeffs:
+        acc = ctx.add_t(reference_mul(ctx, acc, x), c)
+    return acc
+
+
+def test_poly_logs_matches_schoolbook_horner(small_contexts):
+    rng = random.Random(23)
+    for ctx in _table_contexts(small_contexts):
+        exp, log, _ = ctx.log_tables()
+        tuples = ctx.element_tuples()
+        xs = [tuples[i] for i in exp] + [ctx.zero_t]  # x = g^k at k, then x = 0
+        for degree in range(5):
+            for zeroed in (None, 0, degree):  # leading or constant coefficient zero
+                coeffs = [rng.choice(tuples) for _ in range(degree + 1)]
+                if zeroed is not None:
+                    coeffs[zeroed] = ctx.zero_t
+                expected = [log[ctx.index_of(_schoolbook_eval(ctx, coeffs, x))] for x in xs]
+                assert ctx.poly_logs(coeffs) == expected, (ctx, coeffs)
+
+
 def test_index_of_is_enumeration_position():
     ctx = make_field_context(3, 3)
     assert [ctx.index_of(t) for t in ctx.element_tuples()] == list(range(ctx.q))
@@ -278,6 +326,19 @@ def test_embed_image_is_first_root_in_enumeration_order():
         if candidate * candidate + candidate + f16.one == f16.zero:
             assert candidate == g
             break
+
+
+def test_embed_image_is_first_schoolbook_root_for_every_pair():
+    pairs = [(p, b, big) for p in range(2, 65) if is_prime(p)
+             for big in range(2, 13) if p ** big <= 4096
+             for b in range(1, big) if big % b == 0]
+    assert len(pairs) == 57
+    for p, b, big in pairs:
+        small_ctx, big_ctx = make_field_context(p, b), make_field_context(p, big)
+        coeffs = [big_ctx.smul_t(c, big_ctx.one_t) for c in reversed(small_ctx.modulus)]
+        first_root = next(x for x in big_ctx.element_tuples()
+                          if not any(_schoolbook_eval(big_ctx, coeffs, x)))
+        assert embed_field(small_ctx, big_ctx).generator_image.coeffs == first_root, (p, b, big)
 
 
 def test_embed_rejects_non_dividing_degree():

@@ -3,7 +3,6 @@
 import pathlib
 import subprocess
 import sys
-import tomllib
 
 import ecsquares
 
@@ -19,5 +18,10 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_no_runtime_dependencies():
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        assert tomllib.load(f)["project"]["dependencies"] == []
+    # Read without tomllib, which Python 3.10 (the declared minimum) lacks:
+    # the [project] table must hold exactly one dependencies line, an empty list.
+    text = (ROOT / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    lines = [line.strip() for line in project.splitlines()
+             if line.strip().startswith("dependencies")]
+    assert lines == ["dependencies = []"]
