@@ -44,12 +44,10 @@ from .sequence import (
 )
 from .traces import (
     PrimePower,
-    TraceSpec,
     admissible_traces,
     as_prime_power,
     classify_degeneracy,
     hasse_bound,
-    trace_spec,
     waterhouse_admissible,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "SearchReport",
     "SequenceTerm",
     "SquareHit",
-    "TraceSpec",
     "WeierstrassCurve",
     "admissible_traces",
     "as_prime_power",
@@ -90,7 +87,6 @@ __all__ = [
     "sporadic_list",
     "square_hits_scan",
     "trace_sequence",
-    "trace_spec",
     "trace_term",
     "verify_hit",
     "waterhouse_admissible",

@@ -8,19 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TextIO
 
 from .curves import DEFAULT_COUNT_LIMIT, base_change_count, count_points_naive, realize_trace
 from .errors import DomainError, ResourceLimitError
 from .numeric import perfect_square_root
-from .records import OutputRecord, render_records
+from .records import render_records
 from .search import PaperCheckReport, SearchConfig, paper_check, run_search
-from .sequence import SquareHit, trace_sequence
-from .traces import (
-    admissible_traces,
-    as_prime_power,
-    classify_degeneracy,
-    waterhouse_admissible,
-)
+from .sequence import trace_sequence
+from .traces import admissible_traces, as_prime_power, classify_degeneracy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,7 +29,16 @@ class _Parser(argparse.ArgumentParser):
     # domain errors, so remap.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _out_file(path: str) -> TextIO:
+    # Opened while parsing, so a bad --out path is a usage error before any
+    # search work.  "-" stays a file name, not stdout.
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"can't open '{path}': {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admissibility", choices=("waterhouse", "hasse"), default="waterhouse")
     p.add_argument("--degenerate", choices=("exclude", "include", "only"), default="exclude")
     p.add_argument("--format", dest="fmt", choices=("jsonl", "csv", "table"), default="jsonl")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_file, default=None)
 
     p = sub.add_parser("admissible", help="list admissible traces for one q")
     p.add_argument("--q", type=int, required=True)
@@ -115,21 +120,11 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out: TextIO | None) -> None:
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _hit_record(hit: SquareHit) -> OutputRecord:
-    return OutputRecord(
-        q=hit.q.q, p=hit.q.p, b=hit.q.b, a=hit.a, n=hit.n,
-        N=str(hit.N), u=str(hit.u),
-        degenerate_m=hit.degenerate_m,
-        admissible=waterhouse_admissible(hit.q, hit.a),
-        source=hit.source,
-    )
+    if out is not None:
+        with out:
+            out.write(text)
 
 
 def _cmd_search(args) -> int:
@@ -137,8 +132,7 @@ def _cmd_search(args) -> int:
                           admissibility=args.admissibility,
                           degeneracy=args.degenerate)
     report = run_search(config)
-    records = [_hit_record(hit) for hit in report.hits]
-    _emit(render_records(records, args.fmt), args.out)
+    _emit(render_records(report.hits, args.fmt), args.out)
     print(f"{len(report.hits)} hits from {report.pairs_scanned} (q, a) pairs "
           f"in {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK

@@ -36,9 +36,10 @@ from .finitefield import (
     make_field_context,
     render_coeffs,
 )
-from .traces import PrimePower, as_prime_power
+from .traces import PrimePower, _checked_q
 
 DEFAULT_COUNT_LIMIT = 1 << 16
+REALIZATION_Q_LIMIT = 128  # realize_trace sweeps about q^2 curves of q points each
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,14 @@ def realize_trace(q: "int | PrimePower", a: int) -> WeierstrassCurve | None:
     """First curve (in the family enumeration order) with trace a, or None.
 
     None means the full enumeration found no curve, which by the Waterhouse
-    criterion happens exactly for inadmissible traces.
+    criterion happens exactly for inadmissible traces.  q above the
+    realization guard is refused before any field is built.
     """
-    pp = as_prime_power(q)
-    if a * a > 4 * pp.q:
-        raise DomainError(f"trace {a} violates the Hasse bound for q = {pp.q}")
+    pp = _checked_q(q, a)
+    if pp.q > REALIZATION_Q_LIMIT:
+        raise ResourceLimitError(
+            f"realizing a trace over GF({pp.q}) sweeps about q^2 curves; "
+            f"the realization guard is q <= {REALIZATION_Q_LIMIT}")
     table = _realization_table(pp)
     quint = table.get(a)
     if quint is None:

@@ -1,79 +1,25 @@
-"""JSONL / CSV / table serialization of search output records.
+"""JSONL / CSV / table serialization of square hits.
 
-One record per square hit (or sequence row).  N and u routinely exceed any
-fixed-width integer by thousands of bits, so both serialize as decimal
-strings; the machine formats never truncate.  JSONL keys appear in the fixed
-order below and round-trip losslessly.
+Hits go in, one output line per ``SquareHit`` comes out; sequence rows are
+not records.  A hit's values are those of ``RECORD_FIELDS``, in that order:
+its own fields, N and u as decimal strings, and the Waterhouse admissibility
+of (q, a).  N and u routinely exceed any fixed-width integer by thousands of
+bits, so the machine formats never truncate them.  A JSONL line is one JSON
+object with its keys in the fixed order: ``json.loads`` reads it back, and
+``json.dumps`` with the same separators gives the line again byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .sequence import SquareHit
+from .traces import waterhouse_admissible
 
 RECORD_FIELDS = ("q", "p", "b", "a", "n", "N", "u",
                  "degenerate_m", "admissible", "source")
 
 TABLE_DIGITS = 12  # table format truncates N/u beyond this many digits
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    q: int
-    p: int
-    b: int
-    a: int
-    n: int
-    N: str
-    u: str | None
-    degenerate_m: int | None
-    admissible: bool
-    source: str
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in RECORD_FIELDS}
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.as_dict(), separators=(", ", ": "))
-
-    def to_csv_row(self) -> str:
-        parts = []
-        for name in RECORD_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                parts.append("")
-            elif isinstance(value, bool):
-                parts.append("true" if value else "false")
-            else:
-                parts.append(str(value))
-        return ",".join(parts)
-
-    def to_table_row(self) -> str:
-        cells = [str(self.q), str(self.p), str(self.b), str(self.a), str(self.n),
-                 _truncate(self.N), _truncate(self.u or ""),
-                 "" if self.degenerate_m is None else str(self.degenerate_m),
-                 "yes" if self.admissible else "no", self.source]
-        return "  ".join(cell.rjust(width) for cell, width in zip(cells, _TABLE_WIDTHS))
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "OutputRecord":
-        data = json.loads(line)
-        return cls(**{name: data[name] for name in RECORD_FIELDS})
-
-    @classmethod
-    def from_csv_row(cls, row: str) -> "OutputRecord":
-        parts = row.split(",")
-        if len(parts) != len(RECORD_FIELDS):
-            raise ValueError(f"expected {len(RECORD_FIELDS)} CSV fields, got {len(parts)}")
-        q, p, b, a, n, big_n, u, m, admissible, source = parts
-        return cls(
-            q=int(q), p=int(p), b=int(b), a=int(a), n=int(n),
-            N=big_n, u=u or None,
-            degenerate_m=int(m) if m else None,
-            admissible=admissible == "true",
-            source=source,
-        )
-
 
 _TABLE_WIDTHS = (3, 3, 2, 4, 5, TABLE_DIGITS + 12, TABLE_DIGITS + 12, 2, 3, 10)
 
@@ -82,20 +28,48 @@ TABLE_HEADER = "  ".join(
     name.rjust(width) for name, width in zip(RECORD_FIELDS, _TABLE_WIDTHS))
 
 
+def _values(hit: SquareHit) -> tuple:
+    """The hit's values in ``RECORD_FIELDS`` order."""
+    pp = hit.q
+    return (pp.q, pp.p, pp.b, hit.a, hit.n, str(hit.N), str(hit.u),
+            hit.degenerate_m, waterhouse_admissible(pp, hit.a), hit.source)
+
+
+def _json_line(values: tuple) -> str:
+    return json.dumps(dict(zip(RECORD_FIELDS, values)), separators=(", ", ": "))
+
+
+def _csv_row(values: tuple) -> str:
+    *head, m, admissible, source = values
+    return ",".join([*map(str, head), "" if m is None else str(m),
+                     "true" if admissible else "false", source])
+
+
+def _table_row(values: tuple) -> str:
+    q, p, b, a, n, big_n, u, m, admissible, source = values
+    cells = (str(q), str(p), str(b), str(a), str(n), _truncate(big_n), _truncate(u),
+             "" if m is None else str(m), "yes" if admissible else "no", source)
+    return "  ".join(cell.rjust(width) for cell, width in zip(cells, _TABLE_WIDTHS))
+
+
 def _truncate(digits: str) -> str:
     if len(digits) <= TABLE_DIGITS:
         return digits
     return f"{digits[:TABLE_DIGITS]}…({len(digits)} digits)"
 
 
-def render_records(records: list[OutputRecord], fmt: str) -> str:
+# format -> (header line or None, row of a hit's values)
+_FORMATS = {
+    "jsonl": (None, _json_line),
+    "csv": (CSV_HEADER, _csv_row),
+    "table": (TABLE_HEADER, _table_row),
+}
+
+
+def render_records(hits: list[SquareHit], fmt: str) -> str:
     """The full serialized output (including header lines) for one format."""
-    if fmt == "jsonl":
-        lines = [r.to_json_line() for r in records]
-    elif fmt == "csv":
-        lines = [CSV_HEADER] + [r.to_csv_row() for r in records]
-    elif fmt == "table":
-        lines = [TABLE_HEADER] + [r.to_table_row() for r in records]
-    else:
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    return "".join(line + "\n" for line in lines)
+    header, row = _FORMATS[fmt]
+    head = "" if header is None else header + "\n"
+    return head + "".join(row(_values(hit)) + "\n" for hit in hits)

@@ -83,13 +83,12 @@ def search_pairs(config: SearchConfig) -> list[tuple[PrimePower, int]]:
 def run_search(config: SearchConfig) -> SearchReport:
     """Scan all selected pairs and re-verify every hit with ``verify_hit``.
 
-    Hits are returned in canonical (q, a, n) order.
+    Hits come in canonical (q, a, n) order without a sort: the pairs are in
+    (q, a) order and each scan yields ascending n.
     """
     start = time.perf_counter()
     pairs = search_pairs(config)
-    hits = sorted((hit for pp, a in pairs
-                   for hit in square_hits_scan(pp, a, config.nmax)),
-                  key=lambda h: h.triple())
+    hits = [hit for pp, a in pairs for hit in square_hits_scan(pp, a, config.nmax)]
     for hit in hits:
         if not verify_hit(hit):
             raise RuntimeError(f"hit failed re-verification: {hit}")

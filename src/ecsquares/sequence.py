@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .numeric import isqrt, perfect_square_root
-from .traces import PrimePower, as_prime_power, classify_degeneracy
+from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class SquareHit:
 
 def trace_sequence(q: "int | PrimePower", a: int, nmax: int) -> Iterator[SequenceTerm]:
     """Terms n = 1..nmax of the trace recurrence, streamed in O(1) memory."""
-    qv = _checked_q(q, a)
+    qv = _checked_q(q, a).q
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
     prev, cur = 2, a
@@ -69,7 +69,7 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
     Walks the bits of n from the top, keeping (a_k, a_(k+1), q^k) and using
     a_2k = a_k^2 - 2q^k and a_(2k+1) = a_k * a_(k+1) - a * q^k.
     """
-    qv = _checked_q(q, a)
+    qv = _checked_q(q, a).q
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     v, w, q_k = 2, a, 1
@@ -79,13 +79,6 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
         else:
             v, w, q_k = v * v - 2 * q_k, v * w - a * q_k, q_k * q_k
     return v
-
-
-def _checked_q(q: "int | PrimePower", a: int) -> int:
-    qv = as_prime_power(q).q
-    if a * a > 4 * qv:
-        raise DomainError(f"trace {a} violates the Hasse bound for q = {qv}")
-    return qv
 
 
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:

@@ -51,6 +51,14 @@ def as_prime_power(q: "int | PrimePower") -> PrimePower:
     return PrimePower.from_q(q)
 
 
+def _checked_q(q: "int | PrimePower", a: int) -> PrimePower:
+    """q as a validated prime power, after checking the Hasse bound a*a <= 4q."""
+    pp = as_prime_power(q)
+    if a * a > 4 * pp.q:
+        raise DomainError(f"trace {a} violates the Hasse bound for q = {pp.q}")
+    return pp
+
+
 def hasse_bound(q: "int | PrimePower") -> int:
     """Largest |a| allowed by the Hasse bound, floor(2*sqrt(q))."""
     return isqrt(4 * as_prime_power(q).q)
@@ -98,32 +106,9 @@ def classify_degeneracy(q: "int | PrimePower", a: int) -> int | None:
     Nondegenerate pairs return None; degenerate pairs return m in
     {1, 2, 3, 4, 6}.  Requires a*a <= 4q.
     """
-    pp = as_prime_power(q)
-    if a * a > 4 * pp.q:
-        raise DomainError(
-            f"trace {a} violates the Hasse bound for q = {pp.q}")
+    pp = _checked_q(q, a)
     s = a * a
     for m, ratio in DEGENERACY_RATIOS:
         if s == ratio * pp.q:
             return m
     return None
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """One classified (q, a) pair."""
-
-    q: PrimePower
-    a: int
-    admissible: bool
-    degenerate_m: int | None
-
-
-def trace_spec(q: "int | PrimePower", a: int) -> TraceSpec:
-    pp = as_prime_power(q)
-    return TraceSpec(
-        q=pp,
-        a=a,
-        admissible=waterhouse_admissible(pp, a),
-        degenerate_m=classify_degeneracy(pp, a),
-    )

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
+import pytest
+
 from ecsquares.cli import main
-from ecsquares.records import CSV_HEADER, OutputRecord
+from ecsquares.records import CSV_HEADER, RECORD_FIELDS
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +53,18 @@ def test_missing_command_is_usage_error(capsys):
     assert code == 1
 
 
+def test_usage_errors_say_what_was_wrong(capsys):
+    code, out, err = run_cli(capsys, "search", "--format", "xml")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ecsquares search")
+    assert "ecsquares search: error: argument --format" in err
+    assert "invalid choice" in err
+    code, _, err = run_cli(capsys, "realize", "--q", "7")
+    assert code == 1
+    assert "ecsquares realize: error:" in err and "--a" in err
+
+
 def test_sequence_squares_only(capsys):
     code, out, _ = run_cli(capsys, "sequence", "--q", "2", "--a", "-1",
                            "--nmax", "11", "--squares-only")
@@ -81,6 +96,19 @@ def test_realize_inadmissible(capsys):
 def test_realize_hasse_violation(capsys):
     code, _, err = run_cli(capsys, "realize", "--q", "7", "--a", "8")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["realize", "verify-extension"])
+def test_realization_guard_exits_2(capsys, monkeypatch, command):
+    # GF(256) would take minutes to sweep; refused before any field is built.
+    def no_sweep(pp):
+        raise AssertionError(f"swept GF({pp.q})")
+
+    monkeypatch.setattr("ecsquares.curves._realization_table", no_sweep)
+    code, out, err = run_cli(capsys, command, "--q", "256", "--a", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "realization guard" in err
 
 
 def test_verify_extension(capsys):
@@ -127,8 +155,7 @@ def test_search_jsonl_and_csv_agree(capsys, tmp_path):
     code, jsonl_out, err = run_cli(capsys, "search", "--qmax", "8", "--nmax", "40")
     assert code == 0
     assert "pairs" in err
-    json_records = [OutputRecord.from_json_line(line)
-                    for line in jsonl_out.strip().splitlines()]
+    json_records = [json.loads(line) for line in jsonl_out.strip().splitlines()]
     assert json_records  # (2,-1,1) etc.
 
     code, csv_out, _ = run_cli(capsys, "search", "--qmax", "8", "--nmax", "40",
@@ -136,9 +163,17 @@ def test_search_jsonl_and_csv_agree(capsys, tmp_path):
     assert code == 0
     csv_lines = csv_out.strip().splitlines()
     assert csv_lines[0] == CSV_HEADER
-    csv_records = [OutputRecord.from_csv_row(row) for row in csv_lines[1:]]
-    assert sorted(r.as_dict().items() for r in json_records) == \
-           sorted(r.as_dict().items() for r in csv_records)
+    csv_rows = [row.split(",") for row in csv_lines[1:]]
+    assert [[_csv_cell(record[name]) for name in RECORD_FIELDS]
+            for record in json_records] == csv_rows
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def test_search_out_file_matches_stdout(capsys, tmp_path):
@@ -149,13 +184,25 @@ def test_search_out_file_matches_stdout(capsys, tmp_path):
     assert out_file.read_text(encoding="utf-8") == stdout
 
 
+def test_search_out_bad_path_fails_before_searching(capsys, tmp_path, monkeypatch):
+    def no_search(config):
+        raise AssertionError("searched before opening --out")
+
+    monkeypatch.setattr("ecsquares.cli.run_search", no_search)
+    bad = tmp_path / "missing" / "hits.jsonl"
+    code, out, err = run_cli(capsys, "search", "--out", str(bad))
+    assert code == 1
+    assert out == ""
+    assert str(bad) in err and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_search_record_fields_round_trip(capsys):
     code, out, _ = run_cli(capsys, "search", "--qmax", "6", "--nmax", "20")
     assert code == 0
     for line in out.strip().splitlines():
-        record = OutputRecord.from_json_line(line)
-        assert record.to_json_line() == line
         data = json.loads(line)
+        assert json.dumps(data, separators=(", ", ": ")) == line
         assert list(data.keys()) == ["q", "p", "b", "a", "n", "N", "u",
                                      "degenerate_m", "admissible", "source"]
         assert isinstance(data["N"], str) and isinstance(data["u"], str)
@@ -173,5 +220,23 @@ def test_search_degenerate_only_mode(capsys):
                            "--degenerate", "only")
     assert code == 0
     for line in out.strip().splitlines():
-        record = OutputRecord.from_json_line(line)
-        assert record.degenerate_m in (1, 2, 3, 4, 6)
+        assert json.loads(line)["degenerate_m"] in (1, 2, 3, 4, 6)
+
+
+# sha256 of stdout for `search --nmax 200 --admissibility hasse --degenerate
+# include` in each format; the bytes of every format are part of the output
+# contract.  5,452 records: 233 inadmissible, 53 nondegenerate, and 5,085
+# truncated table cells.
+FORMAT_SHA256 = {
+    "jsonl": "073b8e846fd54872c59a6ab92299a35397e9723f5a69f76611900574586cb6ab",
+    "csv": "086c2d190ce41d3c9c3fb30412778e1248c339a251cc0958b50c32df0bd5ff6d",
+    "table": "5d5c30a2bbeaac66008db619da83fe1bdea9a4ee2bcd440009cc9f223ae619db",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SHA256))
+def test_search_formats_are_pinned(capsys, fmt):
+    code, out, _ = run_cli(capsys, "search", "--nmax", "200", "--admissibility", "hasse",
+                           "--degenerate", "include", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORMAT_SHA256[fmt]

@@ -182,6 +182,18 @@ def test_realize_hasse_violation_raises():
         realize_trace(7, 6)
 
 
+def test_realize_guard_refuses_large_fields_before_building(monkeypatch):
+    def no_sweep(pp):
+        raise AssertionError(f"swept GF({pp.q})")
+
+    monkeypatch.setattr("ecsquares.curves._realization_table", no_sweep)
+    for q in (131, 256, 1 << 20):
+        with pytest.raises(ResourceLimitError, match="realization guard"):
+            realize_trace(q, 0)
+    with pytest.raises(DomainError):  # the Hasse check still comes first
+        realize_trace(131, 23)
+
+
 def test_realized_counts_have_the_requested_trace():
     for q in (2, 3, 4, 5, 8, 9):
         for a in range(-3, 4):

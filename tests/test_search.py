@@ -85,15 +85,13 @@ def test_small_search_matches_direct_rederivation():
 
 
 def test_search_is_deterministic_and_sorted():
-    from ecsquares.cli import _hit_record
     from ecsquares.records import render_records
 
     config = SearchConfig(qmax=20, nmax=50)
     first = run_search(config)
     second = run_search(config)
     # byte-identical serialized hit lists
-    assert render_records([_hit_record(h) for h in first.hits], "jsonl") == \
-           render_records([_hit_record(h) for h in second.hits], "jsonl")
+    assert render_records(first.hits, "jsonl") == render_records(second.hits, "jsonl")
     triples = [h.triple() for h in first.hits]
     assert triples == sorted(triples)
     assert len(set(triples)) == len(triples)

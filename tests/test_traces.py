@@ -7,8 +7,9 @@ from ecsquares import (
     as_prime_power,
     classify_degeneracy,
     hasse_bound,
+    realize_trace,
     trace_sequence,
-    trace_spec,
+    trace_term,
     waterhouse_admissible,
 )
 from ecsquares.search import prime_powers_below
@@ -113,14 +114,15 @@ def test_hasse_bound_values():
         hasse_bound(50)  # not a prime power
 
 
-def test_trace_spec():
-    spec = trace_spec(32, 8)
-    assert spec.admissible is True
-    assert spec.degenerate_m == 4
-    assert spec.q.p == 2
-    spec = trace_spec(27, 3)
-    assert spec.admissible is False
-    assert spec.degenerate_m is None
+def test_hasse_violation_reads_the_same_everywhere():
+    message = "trace 6 violates the Hasse bound for q = 7"
+    for check in (classify_degeneracy, realize_trace,
+                  lambda q, a: trace_term(q, a, 1),
+                  lambda q, a: next(trace_sequence(q, a, 1))):
+        with pytest.raises(DomainError) as info:
+            check(7, 6)
+        assert str(info.value) == message
+    assert waterhouse_admissible(7, 6) is False  # the screening predicate
 
 
 def test_as_prime_power_passthrough():
