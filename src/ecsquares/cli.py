@@ -78,10 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--count-limit", type=int, default=DEFAULT_COUNT_LIMIT)
 
-    p = sub.add_parser("paper-check",
-                       help="diff the default search against the published table")
-    p.add_argument("--qmax", type=int, default=50)
-    p.add_argument("--nmax", type=int, default=1000)
+    sub.add_parser("paper-check", help="diff the default search against the published table")
     return parser
 
 
@@ -116,7 +113,7 @@ def _dispatch(args) -> int:
     if args.command == "verify-extension":
         return _cmd_verify_extension(args)
     if args.command == "paper-check":
-        return _cmd_paper_check(args)
+        return _cmd_paper_check()
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -184,15 +181,8 @@ def _cmd_verify_extension(args) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
-def _cmd_paper_check(args) -> int:
-    if (args.qmax, args.nmax) != (50, 1000):
-        raise DomainError(
-            f"paper check is defined for qmax=50, nmax=1000; "
-            f"got qmax={args.qmax}, nmax={args.nmax}")
-    config = SearchConfig(qmax=args.qmax, nmax=args.nmax,
-                          admissibility="waterhouse", degeneracy="exclude")
-    report = run_search(config)
-    diff = paper_check(report)
+def _cmd_paper_check() -> int:
+    diff = paper_check(run_search(SearchConfig()))
     _print_paper_check(diff)
     return EXIT_OK if diff.clean else EXIT_MISMATCH
 

@@ -258,7 +258,7 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
     if limit > DEFAULT_FIELD_SIZE_LIMIT:
         raise ResourceLimitError(
             f"count limit {limit} exceeds the field-size guard of {DEFAULT_FIELD_SIZE_LIMIT}")
-    if ctx.q ** n > limit:
+    if n >= limit.bit_length() or ctx.q ** n > limit:  # q >= 2: refuse before q**n
         raise ResourceLimitError(
             f"extension field size {ctx.q}^{n} exceeds the count guard of {limit}")
     big = make_field_context(ctx.p, ctx.b * n)

@@ -18,25 +18,27 @@ Contexts are cached: ``make_field_context(p, b)`` returns the same object for
 the same arguments, so object identity doubles as field identity.  A context
 is immutable after construction apart from internally cached lookup tables.
 
-Multiplication packs both coefficient vectors into a single big integer
-(one digit of ``2**k`` bits per coefficient, k sized so that no digit can
-overflow) and lets CPython's native big-integer multiply do the convolution;
-degree reduction then adds precomputed packed images of t^b..t^(2b-2).  The
-element representation stays a dense coefficient vector throughout, and
-inverses are Fermat powers u^(q-2).
+Every multiply rests on one primitive, ``_times_t``: shift the coefficients
+up one place and subtract the top coefficient times the modulus.  ``mul_t``
+is Horner's rule over the second factor with it, and inverses are Fermat
+powers u^(q-2).  Multiplying by a fixed element is Z_p-linear, so
+``_combine(digits, rows)`` (the sum of c_j * rows[j]) applies it from the
+images of the basis t^j: it serves field embeddings and the exp table walk.
 
-Everything else runs on int-indexed tables, built once per field with
-``mul_t``.  An element's index is its position in the enumeration and its
-log is k with element = g^k, for g the first primitive element in
-enumeration order (zero's log is the sentinel q - 1).  ``log_tables`` holds
-exp, log and the Zech table log(1 + g^k), through which logs add:
-log(g^i + g^j) = i + zech[j - i] (mod q - 1).  On them ``poly_logs`` is the
-one polynomial evaluator: Horner's rule at every element at once.  It serves
-the point counts (the y-side histograms ``square_counter`` for y^2 and
-``artin_schreier_counter`` for y^2 + y, and the x-side in the curves
-module), the modulus search (a polynomial of degree b is irreducible when it
-has no root in any GF(p^d) with d <= b/2) and field embeddings (the first
-root of the small modulus in the big field).
+Everything else runs on int-indexed tables, built once per field.  An
+element's index is its position in the enumeration and its log is k with
+element = g^k, for g the first primitive element in enumeration order
+(zero's log is the sentinel q - 1).  The exp table walks the powers of g as
+a linear map: g * u is the sum of two tabulated images, one for each half
+of u's coefficient vector.  ``log_tables`` holds exp, log and the Zech
+table log(1 + g^k), through which logs add: log(g^i + g^j) = i + zech[j - i]
+(mod q - 1).  On them ``poly_logs`` is the one polynomial evaluator:
+Horner's rule at every element at once.  It serves the point counts (the
+y-side histograms ``square_counter`` for y^2 and ``artin_schreier_counter``
+for y^2 + y, and the x-side in the curves module), the modulus search (a
+polynomial of degree b is irreducible when it has no root in any GF(p^d)
+with d <= b/2) and field embeddings (the first root of the small modulus in
+the big field).
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ class FieldContext:
         self.zero_t: tuple[int, ...] = (0,) * b
         self.one_t: tuple[int, ...] = (1,) + (0,) * (b - 1)
         self.gen_t: tuple[int, ...] = ((0, 1) + (0,) * (b - 2)) if b > 1 else (0,)
-        if b > 1:
-            # Digit width: convolution digits stay below b*(p-1)^2 and each of
-            # the b-1 reduction rows adds at most (p-1)^2 more, so 2b(p-1)^2
-            # bounds every digit that can ever appear.
-            self._kbits = (2 * b * (p - 1) ** 2).bit_length()
-            self._kmask = (1 << self._kbits) - 1
-            self._packed_rows = self._build_reduction_rows()
         self._element_list: list[tuple[int, ...]] | None = None
         self._log_tables: tuple[list[int], list[int], list[int]] | None = None
         self._square_counter: list[int] | None = None
@@ -106,20 +101,6 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.b})"
-
-    def _build_reduction_rows(self) -> list[int]:
-        """Packed representations of t^j mod modulus for j = b .. 2b-2."""
-        p, b, k = self.p, self.b, self._kbits
-        row = [(-c) % p for c in self.modulus[:b]]  # t^b
-        packed = []
-        for _ in range(b - 1):
-            packed.append(sum(c << (k * i) for i, c in enumerate(row)))
-            carry = row[b - 1]
-            row = [0] + row[:-1]
-            if carry:
-                for i in range(b):
-                    row[i] = (row[i] - carry * self.modulus[i]) % p
-        return packed
 
     # -- arithmetic on raw coefficient tuples ---------------------------------
 
@@ -144,26 +125,25 @@ class FieldContext:
             return u
         return tuple((c * a) % p for a in u)
 
+    def _times_t(self, u: tuple[int, ...]) -> tuple[int, ...]:
+        """u * t: shift up one place and reduce t^b by the modulus."""
+        p, top = self.p, u[-1]
+        return tuple((c - top * m) % p for c, m in zip((0,) + u[:-1], self.modulus))
+
     def mul_t(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
-        b = self.b
-        if b == 1:
-            return ((u[0] * v[0]) % p,)
-        k = self._kbits
-        mask = self._kmask
-        uu = 0
-        for c in reversed(u):
-            uu = (uu << k) | c
-        vv = 0
+        acc = self.zero_t
         for c in reversed(v):
-            vv = (vv << k) | c
-        w = uu * vv
-        rows = self._packed_rows
-        for j in range(2 * b - 2, b - 1, -1):
-            c = ((w >> (k * j)) & mask) % p
+            acc = tuple((a + c * x) % p for a, x in zip(self._times_t(acc), u))
+        return acc
+
+    def _combine(self, digits: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+        """The sum of digits[j] * rows[j] over Z_p."""
+        out = self.zero_t
+        for c, row in zip(digits, rows):
             if c:
-                w += c * rows[j - b]
-        return tuple(((w >> (k * i)) & mask) % p for i in range(b))
+                out = tuple(a + c * x for a, x in zip(out, row))
+        return tuple(a % self.p for a in out)
 
     def inv_t(self, u: tuple[int, ...]) -> tuple[int, ...]:
         if not any(u):
@@ -233,21 +213,28 @@ class FieldContext:
         return index
 
     def log_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """(exp, log, zech), built once per field with ``mul_t``.
+        """(exp, log, zech), built once per field by walking g * u linearly.
 
         exp[k] is the index of g^k for k < q - 1; log[i] is the log of the
         element with index i; zech[k] is log(1 + g^k), so that for nonzero
         summands log(g^i + g^j) = i + zech[j - i] (mod q - 1).
         """
         if self._log_tables is None:
-            q, m = self.q, self.q - 1
+            q, m, p = self.q, self.q - 1, self.p
             index = dict(zip(self.element_tuples(), range(q)))
-            g = self._primitive_element()
-            u = self.one_t
-            exp = [index[u]]
+            # Times g is linear: rows[j] = g * t^j, and an index's leading
+            # h digits and trailing b - h digits each pick a tabulated sum.
+            rows = [self._primitive_element()]
+            for _ in range(self.b - 1):
+                rows.append(self._times_t(rows[-1]))
+            h = self.b // 2
+            high = [self._combine(d, rows[:h]) for d in itertools.product(range(p), repeat=h)]
+            low = [self._combine(d, rows[h:])
+                   for d in itertools.product(range(p), repeat=self.b - h)]
+            exp = [index[self.one_t]]
             for _ in range(m - 1):
-                u = self.mul_t(u, g)
-                exp.append(index[u])
+                hi, lo = divmod(exp[-1], len(low))
+                exp.append(index[self.add_t(high[hi], low[lo])])
             log = [m] * q
             for k, i in enumerate(exp):
                 log[i] = k
@@ -409,7 +396,8 @@ def make_field_context(p: int, b: int) -> FieldContext:
         raise DomainError(f"field degree must be >= 1, got {b}")
     if not is_prime(p):
         raise DomainError(f"field characteristic must be prime, got {p}")
-    if p ** b > DEFAULT_FIELD_SIZE_LIMIT:
+    # p >= 2, so a degree past the guard's bit length is refused before p**b.
+    if b >= DEFAULT_FIELD_SIZE_LIMIT.bit_length() or p ** b > DEFAULT_FIELD_SIZE_LIMIT:
         raise ResourceLimitError(
             f"field size {p}^{b} exceeds the guard of {DEFAULT_FIELD_SIZE_LIMIT}")
     return _cached_context(p, b)
@@ -431,12 +419,7 @@ class FieldEmbedding:
         self._gen_powers = powers
 
     def map_tuple(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        big = self.big
-        out = big.zero_t
-        for c, power in zip(coeffs, self._gen_powers):
-            if c:
-                out = big.add_t(out, big.smul_t(c, power))
-        return out
+        return self.big._combine(coeffs, self._gen_powers)
 
     def __call__(self, element: FieldElement) -> FieldElement:
         if element.ctx is not self.small:

@@ -3,9 +3,9 @@
 These deliberately avoid the library's optimized paths: counting is a plain
 double loop over (x, y) on coefficient tuples, multiplication is schoolbook
 convolution and irreducibility is trial division over Z_p[x].  So they can
-catch errors in the packed big-integer ``mul_t``, in the exp, log and Zech
-tables built with it, in the log-domain evaluator ``poly_logs`` and the
-counting loop, modulus search and embeddings that run on it.
+catch errors in ``mul_t``, in the exp, log and Zech tables, in the
+log-domain evaluator ``poly_logs`` and the counting loop, modulus search
+and embeddings that run on it.
 """
 
 from __future__ import annotations

@@ -143,12 +143,18 @@ def test_verify_extension_inadmissible(capsys):
     assert "inadmissible" in err
 
 
-def test_paper_check_rejects_wrong_ranges(capsys):
+def test_paper_check_rejects_wrong_ranges(capsys, monkeypatch):
+    # paper-check takes no range options: any is a usage error, refused
+    # before a search starts.
+    def no_search(config):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr("ecsquares.cli.run_search", no_search)
     code, _, err = run_cli(capsys, "paper-check", "--qmax", "10")
-    assert code == 2
-    # Refused before any search runs, not after an unbounded one.
+    assert code == 1
+    assert "unrecognized arguments: --qmax 10" in err
     code, _, err = run_cli(capsys, "paper-check", "--nmax", "1000000000")
-    assert code == 2
+    assert code == 1
 
 
 def test_search_jsonl_and_csv_agree(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -239,6 +240,19 @@ def test_base_change_guard():
         base_change_count(curve, 3, limit=300)
     with pytest.raises(ResourceLimitError):
         base_change_count(curve, 1, limit=(1 << 20) + 1)  # above the field-size guard
+
+
+def test_base_change_guard_refuses_a_huge_degree_before_computing_the_size():
+    # 2**(10**8) alone would take 12 MiB; the guard must not build it.
+    curve = _curve(make_field_context(2, 1), 0, 0, 1, 0, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds the count guard"):
+            base_change_count(curve, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mixed_context_curve_rejected():

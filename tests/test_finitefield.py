@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -93,6 +94,18 @@ def test_context_construction_guards():
         make_field_context(2, 25)
 
 
+def test_size_guard_refuses_a_huge_degree_before_computing_the_size():
+    # 2**(10**8) alone would take 12 MiB; the guard must not build it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds the guard"):
+            make_field_context(2, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_contexts_are_cached():
     assert make_field_context(3, 2) is make_field_context(3, 2)
 
@@ -161,7 +174,7 @@ def test_frobenius_is_additive(small_contexts):
             assert (x + y) ** ctx.p == x ** ctx.p + y ** ctx.p
 
 
-def test_packed_mul_matches_schoolbook(small_contexts):
+def test_mul_matches_schoolbook(small_contexts):
     rng = random.Random(99)
     for ctx in small_contexts:
         tuples = ctx.element_tuples()
@@ -170,7 +183,7 @@ def test_packed_mul_matches_schoolbook(small_contexts):
             assert ctx.mul_t(u, v) == reference_mul(ctx, u, v)
 
 
-def test_packed_mul_matches_schoolbook_large_degree():
+def test_mul_matches_schoolbook_large_degree():
     rng = random.Random(5)
     for (p, b) in [(2, 16), (3, 10), (5, 6), (47, 3)]:
         ctx = make_field_context(p, b)
@@ -211,12 +224,15 @@ def test_generator_is_first_primitive_element(small_contexts):
 
 
 def test_exp_table_multiplies_like_schoolbook(small_contexts):
+    # Also the oracle's largest fields, and odd b, where the exp walk splits
+    # an index into unequal halves.
+    large = [make_field_context(p, b) for p, b in [(2, 16), (3, 9), (3, 10), (5, 6), (7, 4)]]
     rng = random.Random(17)
-    for ctx in _table_contexts(small_contexts):
+    for ctx in _table_contexts(small_contexts) + large:
         exp, _, _ = ctx.log_tables()
         tuples = ctx.element_tuples()
         m = ctx.q - 1
-        for _ in range(60):
+        for _ in range(200):
             i, j = rng.randrange(m), rng.randrange(m)
             assert tuples[exp[(i + j) % m]] == reference_mul(ctx, tuples[exp[i]], tuples[exp[j]])
 
