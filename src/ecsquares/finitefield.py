@@ -18,27 +18,24 @@ Contexts are cached: ``make_field_context(p, b)`` returns the same object for
 the same arguments, so object identity doubles as field identity.  A context
 is immutable after construction apart from internally cached lookup tables.
 
-Every multiply rests on one primitive, ``_times_t``: shift the coefficients
-up one place and subtract the top coefficient times the modulus.  ``mul_t``
-is Horner's rule over the second factor with it, and inverses are Fermat
-powers u^(q-2).  Multiplying by a fixed element is Z_p-linear, so
-``_combine(digits, rows)`` (the sum of c_j * rows[j]) applies it from the
-images of the basis t^j: it serves field embeddings and the exp table walk.
+Multiplying by a fixed u is Z_p-linear, so every multiply is one
+combination: ``mul_t(u, v)`` is ``_combine(v, rows)``, the sum of v_j * rows[j]
+over the rows u * t^j, which ``_t_rows`` builds by repeated ``_times_t`` (shift
+the coefficients up one place, subtract the top one times the modulus).  The
+same combination serves embeddings and the exp table; inverses are u^(q-2).
 
-Everything else runs on int-indexed tables, built once per field.  An
-element's index is its position in the enumeration and its log is k with
-element = g^k, for g the first primitive element in enumeration order
-(zero's log is the sentinel q - 1).  The exp table walks the powers of g as
-a linear map: g * u is the sum of two tabulated images, one for each half
-of u's coefficient vector.  ``log_tables`` holds exp, log and the Zech
-table log(1 + g^k), through which logs add: log(g^i + g^j) = i + zech[j - i]
-(mod q - 1).  On them ``poly_logs`` is the one polynomial evaluator:
-Horner's rule at every element at once.  It serves the point counts (the
-y-side histograms ``square_counter`` for y^2 and ``artin_schreier_counter``
-for y^2 + y, and the x-side in the curves module), the modulus search (a
-polynomial of degree b is irreducible when it has no root in any GF(p^d)
-with d <= b/2) and field embeddings (the first root of the small modulus in
-the big field).
+The int-indexed tables come from index arithmetic, never from listing the
+field.  An element's index is its coefficients read as base-p digits
+(``index_of``), its position in the enumeration; its log is k with element =
+g^k, for g the first primitive element (zero's log is the sentinel q - 1).
+The exp table walks the powers of g as a linear map: g * u is the sum of two
+tabulated images, one per half of u's digits.  ``log_tables`` holds exp, log
+and the Zech table log(1 + g^k): log(g^i + g^j) = i + zech[j - i] (mod q - 1).
+On them ``poly_logs``, Horner's rule at every element at once, is the one
+polynomial evaluator: for the point counts (the y-side histograms
+``square_counter`` of y^2 and ``artin_schreier_counter`` of y^2 + y, and the
+x-side in the curves module), the modulus search (no root in any GF(p^d),
+d <= b/2, means irreducible) and embeddings (the small modulus's first root).
 """
 
 from __future__ import annotations
@@ -130,12 +127,15 @@ class FieldContext:
         p, top = self.p, u[-1]
         return tuple((c - top * m) % p for c, m in zip((0,) + u[:-1], self.modulus))
 
+    def _t_rows(self, u: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """[u, u * t, ..., u * t^(b-1)], the rows of the Z_p-linear map times u."""
+        rows = [u]
+        for _ in range(self.b - 1):
+            rows.append(self._times_t(rows[-1]))
+        return rows
+
     def mul_t(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        acc = self.zero_t
-        for c in reversed(v):
-            acc = tuple((a + c * x) % p for a, x in zip(self._times_t(acc), u))
-        return acc
+        return self._combine(v, self._t_rows(u))
 
     def _combine(self, digits: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         """The sum of digits[j] * rows[j] over Z_p."""
@@ -221,20 +221,17 @@ class FieldContext:
         """
         if self._log_tables is None:
             q, m, p = self.q, self.q - 1, self.p
-            index = dict(zip(self.element_tuples(), range(q)))
             # Times g is linear: rows[j] = g * t^j, and an index's leading
             # h digits and trailing b - h digits each pick a tabulated sum.
-            rows = [self._primitive_element()]
-            for _ in range(self.b - 1):
-                rows.append(self._times_t(rows[-1]))
+            rows = self._t_rows(self._primitive_element())
             h = self.b // 2
             high = [self._combine(d, rows[:h]) for d in itertools.product(range(p), repeat=h)]
             low = [self._combine(d, rows[h:])
                    for d in itertools.product(range(p), repeat=self.b - h)]
-            exp = [index[self.one_t]]
+            exp = [self.index_of(self.one_t)]
             for _ in range(m - 1):
                 hi, lo = divmod(exp[-1], len(low))
-                exp.append(index[self.add_t(high[hi], low[lo])])
+                exp.append(self.index_of(self.add_t(high[hi], low[lo])))
             log = [m] * q
             for k, i in enumerate(exp):
                 log[i] = k
@@ -254,7 +251,7 @@ class FieldContext:
             cofactors.append(m // r)
             while rest % r == 0:
                 rest //= r
-        for u in self.element_tuples()[1:]:
+        for u in itertools.islice(itertools.product(range(self.p), repeat=self.b), 1, None):
             if all(self.pow_t(u, e) != self.one_t for e in cofactors):
                 return u
         raise RuntimeError(f"invariant violation: {self!r} has no primitive element")
@@ -271,12 +268,11 @@ class FieldContext:
         m = self.q - 1
         logs = [log[self.index_of(coeffs[0])]] * self.q
         for coeff in coeffs[1:]:
-            logs = [m if u == m or k == m else (u + k) % m for k, u in enumerate(logs)]
+            # Times x (zero if u or x is), then plus g^c: nothing at c = m, else a Zech step.
             c = log[self.index_of(coeff)]
-            if c != m:
-                # zech has length m, so zech[u - c] for 0 <= u, c < m reads zech[(u - c) % m].
-                logs = [c if u == m else m if (w := zech[u - c]) == m else (c + w) % m
-                        for u in logs]
+            logs = [c if u == m or k == m else (u + k) % m if c == m
+                    else m if (w := zech[(u + k - c) % m]) == m else (c + w) % m
+                    for k, u in enumerate(logs)]
         return logs
 
     def _value_counts(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
@@ -450,4 +446,7 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
     if not roots:
         raise RuntimeError(
             f"invariant violation: {small!r} modulus has no root in {big!r}")
-    return FieldEmbedding(small, big, big.element_tuples()[min(roots)])
+    # index_of read backwards: coefficient i is base-p digit b - 1 - i of the index.
+    root = min(roots)
+    image = tuple(root // big.p ** j % big.p for j in reversed(range(big.b)))
+    return FieldEmbedding(small, big, image)

@@ -34,8 +34,9 @@ def _square_residue_table(m: int) -> bytes:
     return bytes(flags)
 
 
-# Residue pre-filter moduli 64*63*65*11; a square must be a quadratic residue
-# modulo each factor, which rejects ~99% of non-squares with one big divmod.
+# Residue pre-filter moduli 64*63*65*11: a square is a residue modulo each, tested
+# after one big divmod.  On the default search's 334,000 terms (334 pairs, n <= 1000)
+# 7.9% pass all four, so ~92% are rejected; ~99% holds only for uniform residues.
 _FILTER_MODULUS = 64 * 63 * 65 * 11
 _FILTER_TABLES = tuple((m, _square_residue_table(m)) for m in (64, 63, 65, 11))
 

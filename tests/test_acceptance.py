@@ -246,12 +246,12 @@ def test_criterion_6_property_suites(admissible_pairs, capsys):
 
 
 def test_criterion_7_out_of_scope_bound_declared(capsys):
-    # The finiteness bound for nondegenerate pairs (a count of potential
-    # square positions on the order of 10^194) rests on Diophantine
-    # approximation machinery with no computational content; no run of this
-    # tool can confirm or deny it.  The artifact therefore never claims that
-    # bound: criteria 1-6 are the verifiable substitute, and the README
-    # documents the limitation.
+    # The finiteness bound for nondegenerate pairs (at most 10^200 perfect
+    # squares per sequence, as the paper's abstract states) rests on
+    # Diophantine approximation machinery with no computational content; no
+    # run of this tool can confirm or deny it.  The artifact therefore never
+    # claims that bound: criteria 1-6 are the verifiable substitute, and the
+    # README documents the limitation.
     from pathlib import Path
 
     readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from ecsquares import DomainError, ResourceLimitError, embed_field, make_field_context
-from ecsquares.finitefield import _is_irreducible, render_coeffs
+from ecsquares.finitefield import FieldContext, _find_modulus, _is_irreducible, render_coeffs
 from ecsquares.numeric import is_prime
 
 from reference_oracles import _poly_divmod, reference_mul
@@ -104,6 +104,31 @@ def test_size_guard_refuses_a_huge_degree_before_computing_the_size():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_tables_and_embedding_never_list_the_field(monkeypatch):
+    # A fresh GF(2^16) with enumeration disabled: its tables, primitive
+    # element and an embedding into it stand on index arithmetic alone.
+    modulus = _find_modulus(2, 16)
+    small = make_field_context(2, 4)
+    small.log_tables()
+
+    def no_listing(ctx):
+        raise AssertionError(f"{ctx!r} listed its elements")
+
+    monkeypatch.setattr(FieldContext, "element_tuples", no_listing)
+    big = FieldContext(2, 16, modulus)
+    tracemalloc.start()
+    try:
+        tables = big.log_tables()
+        image = embed_field(small, big).generator_image.coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 << 20
+    cached = make_field_context(2, 16)
+    assert tables == cached.log_tables()
+    assert image == embed_field(small, cached).generator_image.coeffs
 
 
 def test_contexts_are_cached():
@@ -274,7 +299,7 @@ def test_poly_logs_matches_schoolbook_horner(small_contexts):
         tuples = ctx.element_tuples()
         xs = [tuples[i] for i in exp] + [ctx.zero_t]  # x = g^k at k, then x = 0
         for degree in range(5):
-            for zeroed in (None, 0, degree):  # leading or constant coefficient zero
+            for zeroed in (None, 0, degree // 2, degree):  # a leading, middle or constant zero
                 coeffs = [rng.choice(tuples) for _ in range(degree + 1)]
                 if zeroed is not None:
                     coeffs[zeroed] = ctx.zero_t
