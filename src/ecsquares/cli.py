@@ -10,12 +10,15 @@ import argparse
 import sys
 from typing import TextIO
 
+# ``sequence`` is imported as a module: perfbench's tracer wraps
+# square_hits_scan at the name its search callers use and allows an unwrapped
+# copy only in the defining module.
+from . import sequence
 from .curves import DEFAULT_COUNT_LIMIT, base_change_count, count_points_naive, realize_trace
 from .errors import DomainError, ResourceLimitError
 from .numeric import perfect_square_root
 from .records import render_records
 from .search import PaperCheckReport, SearchConfig, paper_check, run_search
-from .sequence import trace_sequence
 from .traces import admissible_traces, as_prime_power, classify_degeneracy
 
 EXIT_OK = 0
@@ -137,10 +140,13 @@ def _cmd_search(args) -> int:
 
 def _cmd_sequence(args) -> int:
     pp = as_prime_power(args.q)
-    for term in trace_sequence(pp, args.a, args.nmax):
+    if args.squares_only:
+        for hit in sequence.square_hits_scan(pp, args.a, args.nmax):
+            N = hit.N
+            print(f"n={hit.n} a_n={pp.q ** hit.n + 1 - N} N={N} u={hit.u}")
+        return EXIT_OK
+    for term in sequence.trace_sequence(pp, args.a, args.nmax):
         u = perfect_square_root(term.N_n)
-        if args.squares_only and u is None:
-            continue
         line = f"n={term.n} a_n={term.a_n} N={term.N_n}"
         if u is not None:
             line += f" u={u}"
@@ -171,7 +177,7 @@ def _cmd_verify_extension(args) -> int:
         print("count limit below q; nothing to verify", file=sys.stderr)
         return EXIT_OK
     mismatches = 0
-    for term in trace_sequence(pp, args.a, nmax):
+    for term in sequence.trace_sequence(pp, args.a, nmax):
         counted = base_change_count(curve, term.n, limit=args.count_limit)
         status = "ok" if counted == term.N_n else "MISMATCH"
         if counted != term.N_n:

@@ -27,26 +27,16 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
-def _square_residue_table(m: int) -> bytes:
-    flags = bytearray(m)
-    for i in range(m):
-        flags[(i * i) % m] = 1
-    return bytes(flags)
-
-
-# Residue pre-filter moduli 64*63*65*11: a square is a residue modulo each, tested
-# after one big divmod.  On the default search's 334,000 terms (334 pairs, n <= 1000)
-# 7.9% pass all four, so ~92% are rejected; ~99% holds only for uniform residues.
-_FILTER_MODULUS = 64 * 63 * 65 * 11
-_FILTER_TABLES = tuple((m, _square_residue_table(m)) for m in (64, 63, 65, 11))
-
-
 def perfect_square_root(x: int) -> int | None:
-    """The integer u >= 0 with u*u == x, or None when x is not a perfect square."""
+    """The integer u >= 0 with u*u == x, or None when x is not a perfect square.
+
+    Pre-filtered by the first four sieve moduli, 64 * 63 * 65 * 11, after one
+    big divmod.
+    """
     if x < 0:
         return None
     r = x % _FILTER_MODULUS
-    for m, table in _FILTER_TABLES:
+    for m, table in SIEVE_TABLES[:4]:
         if not table[r % m]:
             return None
     u = isqrt(x)
@@ -95,3 +85,21 @@ def _least_prime_factor(n: int) -> int:
                 f"{n} has no prime factor below 2^20 and is too large "
                 f"to factor by trial division")
     return n
+
+
+# -- square-residue tables ----------------------------------------------------
+
+def _square_residue_table(m: int) -> bytes:
+    flags = bytearray(m)
+    for i in range(m):
+        flags[(i * i) % m] = 1
+    return bytes(flags)
+
+
+# Pairwise coprime sieve moduli: 64, 63, 65, 11 and the primes 17 to 199.  An
+# integer whose residue modulo any of them is flagged 0 is not a square.  Their
+# product SIEVE_MODULUS has 279 bits.
+SIEVE_MODULI = (64, 63, 65, 11) + tuple(p for p in range(17, 200) if is_prime(p))
+SIEVE_TABLES = tuple((m, _square_residue_table(m)) for m in SIEVE_MODULI)
+SIEVE_MODULUS = math.prod(SIEVE_MODULI)
+_FILTER_MODULUS = math.prod(SIEVE_MODULI[:4])

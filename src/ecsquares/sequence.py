@@ -6,10 +6,13 @@ never materialized: a_n satisfies the integer recurrence
 
     a_0 = 2,  a_1 = a,  a_n = a * a_(n-1) - q * a_(n-2),
 
-which is evaluated exactly in arbitrary precision (a_1000 for q = 49 needs
-about 5615 bits).  ``trace_sequence`` is the only loop over it; ``trace_term``
-evaluates a single a_n by Lucas doubling, so checking a hit never re-runs the
-loop that found it.
+``trace_sequence`` evaluates it exactly in arbitrary precision (a_1000 for
+q = 49 needs about 5615 bits), for listing terms.  ``square_hits_scan`` runs
+the same recurrence modulo the 279-bit ``SIEVE_MODULUS`` to select candidates:
+an n is dropped only when N_n is a non-residue modulo one of the sieve moduli,
+which proves it is not a square.  Each survivor is confirmed exactly, with a_n
+from Lucas doubling (``trace_term``) and the root from ``math.isqrt``, so a
+term of O(n) bits is built only for the few n that may be squares.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numeric import isqrt, perfect_square_root
+from .numeric import SIEVE_MODULUS, SIEVE_TABLES, isqrt, perfect_square_root
 from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
 
 
@@ -82,16 +85,51 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
 
 
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
-    """All n <= nmax where the point count over GF(q^n) is a perfect square."""
+    """All n <= nmax where the point count over GF(q^n) is a perfect square.
+
+    a_n and q^n run modulo ``SIEVE_MODULUS``; N_n is tested against each sieve
+    modulus in turn and n is dropped at the first non-residue.  A survivor is
+    a hit when ``perfect_square_root`` of the exact count (a_n by
+    ``trace_term``) succeeds.  For a degenerate pair and m | n the count is
+    (s -+ 1)^2 with s*s = q^n, as in ``guaranteed_square``; the sign comes from
+    matching a_n against +-2s modulo ``SIEVE_MODULUS``.
+    """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
+    if nmax < 1:
+        raise DomainError(f"nmax must be >= 1, got {nmax}")
+    qv, modulus = pp.q, SIEVE_MODULUS
     hits = []
-    for term in trace_sequence(pp, a, nmax):
-        u = perfect_square_root(term.N_n)
+    prev, cur, q_pow = 2, a % modulus, 1
+    for n in range(1, nmax + 1):
+        q_pow = q_pow * qv % modulus
+        if m is not None and n % m == 0:
+            u = _closed_form_root(pp, a, n, cur)
+        else:
+            x = q_pow + 1 - cur
+            for sieve_m, table in SIEVE_TABLES:
+                if not table[x % sieve_m]:
+                    u = None
+                    break
+            else:
+                u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
         if u is not None:
-            hits.append(SquareHit(q=pp, a=a, n=term.n, u=u,
+            hits.append(SquareHit(q=pp, a=a, n=n, u=u,
                                   degenerate_m=m, source="scan"))
+        prev, cur = cur, (a * cur - qv * prev) % modulus
     return hits
+
+
+def _closed_form_root(pp: PrimePower, a: int, n: int, a_n_residue: int) -> int:
+    """u for a degenerate pair at m | n, where a_n = +-2s and s = p^(b*n/2)."""
+    s = pp.p ** (pp.b * n // 2)
+    if a_n_residue == 2 * s % SIEVE_MODULUS:
+        return s - 1
+    if a_n_residue == -2 * s % SIEVE_MODULUS:
+        return s + 1
+    raise RuntimeError(
+        f"invariant violation: a_{n} is not +-2*sqrt(q^{n}) modulo the sieve "
+        f"modulus for degenerate pair ({pp.q}, {a})")
 
 
 def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None:

@@ -74,6 +74,39 @@ def test_sequence_squares_only(capsys):
     assert lines[-1].endswith("u=46")
 
 
+# `sequence --squares-only` takes its squares from the residue sieve and
+# rebuilds a_n as q^n + 1 - u^2; these rows are the exact loop's output.
+SQUARES_ONLY_ROWS = {
+    ("2", "-1"): ("n=1 a_n=-1 N=4 u=2\n"
+                  "n=3 a_n=5 N=4 u=2\n"
+                  "n=4 a_n=1 N=16 u=4\n"
+                  "n=11 a_n=-67 N=2116 u=46\n"),
+    ("2", "2"): ("n=1 a_n=2 N=1 u=1\n"
+                 "n=4 a_n=-8 N=25 u=5\n"
+                 "n=8 a_n=32 N=225 u=15\n"
+                 "n=12 a_n=-128 N=4225 u=65\n"
+                 "n=16 a_n=512 N=65025 u=255\n"
+                 "n=20 a_n=-2048 N=1050625 u=1025\n"
+                 "n=24 a_n=8192 N=16769025 u=4095\n"
+                 "n=28 a_n=-32768 N=268468225 u=16385\n"
+                 "n=32 a_n=131072 N=4294836225 u=65535\n"
+                 "n=36 a_n=-524288 N=68720001025 u=262145\n"
+                 "n=40 a_n=2097152 N=1099509530625 u=1048575\n"),
+}
+
+
+@pytest.mark.parametrize("q, a", sorted(SQUARES_ONLY_ROWS))
+def test_sequence_squares_only_is_pinned(capsys, q, a):
+    code, out, _ = run_cli(capsys, "sequence", "--q", q, "--a", a, "--nmax", "40",
+                           "--squares-only")
+    assert code == 0
+    assert out == SQUARES_ONLY_ROWS[(q, a)]
+    # The unfiltered listing prints the same rows among its non-squares.
+    code, full, _ = run_cli(capsys, "sequence", "--q", q, "--a", a, "--nmax", "40")
+    assert code == 0
+    assert [line for line in full.splitlines(True) if " u=" in line] == out.splitlines(True)
+
+
 def test_sequence_full_output(capsys):
     code, out, _ = run_cli(capsys, "sequence", "--q", "2", "--a", "-1", "--nmax", "3")
     assert code == 0

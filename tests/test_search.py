@@ -186,3 +186,15 @@ def test_paper_check_rejects_degenerate_modes():
                           pairs_scanned=0, elapsed_seconds=0.0)
     with pytest.raises(DomainError):
         paper_check(report)
+
+
+def test_no_nondegenerate_square_between_n_1000_and_5000():
+    # The residue sieve makes n <= 5000 cheap: past the paper's n <= 1000 no
+    # new square appears for q < 50.
+    def squares(nmax):
+        report = run_search(SearchConfig(nmax=nmax))
+        return [(h.q.q, h.a, h.n, h.u) for h in report.hits]
+
+    paper_range = squares(1000)
+    assert len(paper_range) == 52
+    assert squares(5000) == paper_range

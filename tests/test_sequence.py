@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from ecsquares import (
     DomainError,
     base_change_count,
+    classify_degeneracy,
     guaranteed_square,
     hasse_bound,
     realize_trace,
@@ -13,7 +17,10 @@ from ecsquares import (
     trace_sequence,
     trace_term,
 )
+from ecsquares.numeric import SIEVE_MODULI, SIEVE_MODULUS
 from ecsquares.search import prime_powers_below
+from ecsquares.sequence import _closed_form_root
+from ecsquares.traces import as_prime_power
 
 # (q, a) over every prime power q < 50 and its whole Hasse range, degenerate
 # pairs included.
@@ -57,6 +64,10 @@ def test_sequence_rejects_hasse_violation():
         list(trace_sequence(2, 3, 5))
     with pytest.raises(DomainError):
         trace_term(2, 3, 5)
+    with pytest.raises(DomainError):
+        square_hits_scan(2, 3, 5)
+    with pytest.raises(DomainError):
+        square_hits_scan(49, -15, 5)
 
 
 def test_sequence_rejects_bad_nmax():
@@ -64,6 +75,10 @@ def test_sequence_rejects_bad_nmax():
         list(trace_sequence(2, 1, 0))
     with pytest.raises(DomainError):
         trace_term(2, 1, 0)
+    with pytest.raises(DomainError):
+        square_hits_scan(2, 1, 0)
+    with pytest.raises(DomainError):
+        square_hits_scan(49, 14, -5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -75,6 +90,64 @@ def test_trace_term_matches_recurrence(pair, n):
     q, a = pair
     *_, last = trace_sequence(q, a, n)
     assert trace_term(q, a, n) == last.a_n
+
+
+def exact_scan(q, a, nmax):
+    """(n, u) for every square count, from the exact loop and ``math.isqrt``."""
+    hits = []
+    for term in trace_sequence(q, a, nmax):
+        root = math.isqrt(term.N_n)
+        if root * root == term.N_n:
+            hits.append((term.n, root))
+    return hits
+
+
+@settings(max_examples=200, deadline=None)
+@given(HASSE_PAIRS, st.integers(min_value=1, max_value=300))
+@example((49, 14), 300)  # degenerate, m = 1
+@example((32, 8), 300)   # degenerate, m = 4
+@example((3, 3), 300)    # degenerate, m = 6
+@example((2, 0), 300)    # degenerate, m = 2
+@example((2, -1), 11)
+def test_sieve_scan_matches_exact_scan(pair, nmax):
+    q, a = pair
+    hits = square_hits_scan(q, a, nmax)
+    assert [(h.n, h.u) for h in hits] == exact_scan(q, a, nmax)
+    m = classify_degeneracy(q, a)
+    assert all(h.source == "scan" and h.degenerate_m == m for h in hits)
+
+
+# Squares modulo each sieve modulus, listed here rather than read from the
+# sieve's own tables.
+SQUARES_MOD = {m: {i * i % m for i in range(m)} for m in SIEVE_MODULI}
+
+
+def test_every_excluded_n_has_a_residue_proof():
+    """Each n <= 2000 the sieve drops has N_n, exact from Lucas doubling, a
+    non-square modulo some sieve modulus; no modular stream is involved."""
+    assert len(SIEVE_MODULI) == 44
+    assert math.prod(SIEVE_MODULI).bit_length() == 279
+    rng = random.Random(20261018)
+    pairs = [(2, -1), (47, -1), (32, 5), (2, 0), (3, 3), (32, 8)]
+    for pp in rng.sample(prime_powers_below(50), 8):
+        bound = hasse_bound(pp)
+        pairs.append((pp.q, rng.randint(-bound, bound)))
+    for q, a in pairs:
+        found = {h.n for h in square_hits_scan(q, a, 2000)}
+        for n in range(1, 2001):
+            if n in found:
+                continue
+            count = q ** n + 1 - trace_term(q, a, n)
+            assert any(count % m not in SQUARES_MOD[m] for m in SIEVE_MODULI), (q, a, n)
+
+
+def test_closed_form_sign_must_match_the_residue():
+    # (2, 2) has m = 4 and a_4 = -8 = -2 * 2^2, so N_4 = (4 + 1)^2.
+    pp = as_prime_power(2)
+    assert _closed_form_root(pp, 2, 4, -8 % SIEVE_MODULUS) == 5
+    assert _closed_form_root(pp, 2, 4, 8) == 3
+    with pytest.raises(RuntimeError):
+        _closed_form_root(pp, 2, 4, 7)
 
 
 def test_scan_q2_a_minus1():
@@ -130,8 +203,6 @@ def test_guaranteed_square_rejects_nondegenerate():
 
 
 def test_guaranteed_square_agrees_with_scan():
-    from ecsquares import classify_degeneracy
-
     for (q, a) in [(2, 2), (3, -3), (4, 2), (5, 0), (9, 3), (8, -4)]:
         hits = {h.n: h.u for h in square_hits_scan(q, a, 48)}
         m = classify_degeneracy(q, a)
