@@ -28,8 +28,12 @@ The int-indexed tables come from index arithmetic, never from listing the
 field.  An element's index is its coefficients read as base-p digits
 (``index_of``), its position in the enumeration; its log is k with element =
 g^k, for g the first primitive element (zero's log is the sentinel q - 1).
-The exp table walks the powers of g as a linear map: g * u is the sum of two
-tabulated images, one per half of u's digits.  ``log_tables`` holds exp, log
+The exp table walks the powers of g on packed ints: each element's base-p
+digits sit in w-bit slots, in index order, with w = (2p - 2).bit_length(), so
+one digit sum fits its slot.  Times g is linear, so g * u is the sum of two
+tabulated packed images, one per half of u's slots, and a slotwise
+conditional subtract (add 2^(w-1) - p to every slot, take p off each slot
+whose top bit is then set) reduces it.  ``log_tables`` holds exp, log
 and the Zech table log(1 + g^k): log(g^i + g^j) = i + zech[j - i] (mod q - 1).
 On them ``poly_logs``, Horner's rule at every element at once, is the one
 polynomial evaluator: for the point counts (the y-side histograms
@@ -213,25 +217,57 @@ class FieldContext:
         return index
 
     def log_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """(exp, log, zech), built once per field by walking g * u linearly.
+        """(exp, log, zech), built once per field by walking g * u on packed ints.
 
         exp[k] is the index of g^k for k < q - 1; log[i] is the log of the
         element with index i; zech[k] is log(1 + g^k), so that for nonzero
         summands log(g^i + g^j) = i + zech[j - i] (mod q - 1).
+
+        The walk holds each power of g as one int whose base-p digits sit in
+        w-bit slots, in index order, with w = (2p - 2).bit_length(): the sum
+        of two digits below p then stays inside its slot.  Times g is linear,
+        so the images of every high half and every low half of the digits
+        are tabulated once as packed ints, keyed by the packed half, and one
+        step is two lookups and one add.  A slotwise conditional subtract
+        reduces the sum: adding 2^(w-1) - p to every slot sets a slot's top
+        bit exactly when its digit is at least p, and p times those bits,
+        shifted down, is taken off.  The same two keys read the power's
+        index from two more half-tables, so no tuple is built per element.
         """
         if self._log_tables is None:
-            q, m, p = self.q, self.q - 1, self.p
-            # Times g is linear: rows[j] = g * t^j, and an index's leading
-            # h digits and trailing b - h digits each pick a tabulated sum.
+            q, m, p, b = self.q, self.q - 1, self.p, self.b
+            w = (2 * p - 2).bit_length()
+            h = b // 2
+            shift = w * (b - h)
+            mask = (1 << shift) - 1
+            ones = sum(1 << (w * j) for j in range(b))
+            top, bias = ones << (w - 1), ones * ((1 << (w - 1)) - p)
+
+            def pack(digits: Sequence[int]) -> int:
+                x = 0
+                for c in digits:
+                    x = (x << w) | c
+                return x
+
+            # rows[j] = g * t^j; an index's leading h digits and trailing
+            # b - h digits each pick a tabulated image and index share.
             rows = self._t_rows(self._primitive_element())
-            h = self.b // 2
-            high = [self._combine(d, rows[:h]) for d in itertools.product(range(p), repeat=h)]
-            low = [self._combine(d, rows[h:])
-                   for d in itertools.product(range(p), repeat=self.b - h)]
-            exp = [self.index_of(self.one_t)]
-            for _ in range(m - 1):
-                hi, lo = divmod(exp[-1], len(low))
-                exp.append(self.index_of(self.add_t(high[hi], low[lo])))
+            halves = []
+            for half_rows, scale in ((rows[:h], p ** (b - h)), (rows[h:], 1)):
+                image, index = {}, {}
+                for i, d in enumerate(itertools.product(range(p), repeat=len(half_rows))):
+                    key = pack(d)
+                    image[key] = pack(self._combine(d, half_rows))
+                    index[key] = i * scale
+                halves.append((image, index))
+            (hi_image, hi_index), (lo_image, lo_index) = halves
+            exp: list[int] = []
+            x = pack(self.one_t)
+            for _ in range(m):
+                hi, lo = x >> shift, x & mask
+                exp.append(hi_index[hi] + lo_index[lo])
+                x = hi_image[hi] + lo_image[lo]
+                x -= (((x + bias) & top) >> (w - 1)) * p
             log = [m] * q
             for k, i in enumerate(exp):
                 log[i] = k

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's optimized paths: counting is a plain
 double loop over (x, y) on coefficient tuples, multiplication is schoolbook
-convolution and irreducibility is trial division over Z_p[x].  So they can
+convolution, the exp table is repeated schoolbook multiplication by g and
+irreducibility is trial division over Z_p[x].  So they can
 catch errors in ``mul_t``, in the exp, log and Zech tables, in the
 log-domain evaluator ``poly_logs`` and the counting loop, modulus search
 and embeddings that run on it.
@@ -27,6 +28,26 @@ def reference_mul(ctx, u, v):
             for i in range(b):
                 conv[j - b + i] -= c * ctx.modulus[i]
     return tuple(c % p for c in conv[:b])
+
+
+def reference_exp(ctx):
+    """Enumeration positions of g^0, ..., g^(q-2) by repeated ``reference_mul``.
+
+    g is the first element, in enumeration order, whose powers reach all
+    q - 1 nonzero elements before returning to one.
+    """
+    tuples = ctx.element_tuples()
+    position = {u: i for i, u in enumerate(tuples)}
+    for g in tuples[1:]:
+        exp, u = [], ctx.one_t
+        while True:
+            exp.append(position[u])
+            u = reference_mul(ctx, u, g)
+            if u == ctx.one_t:
+                break
+        if len(exp) == ctx.q - 1:
+            return exp
+    raise AssertionError(f"{ctx!r} has no primitive element")
 
 
 def reference_count(ctx, quint):

@@ -11,7 +11,7 @@ from ecsquares import DomainError, ResourceLimitError, embed_field, make_field_c
 from ecsquares.finitefield import FieldContext, _find_modulus, _is_irreducible, render_coeffs
 from ecsquares.numeric import is_prime
 
-from reference_oracles import _poly_divmod, reference_mul
+from reference_oracles import _poly_divmod, reference_exp, reference_mul
 
 
 # -- modulus selection ---------------------------------------------------------
@@ -260,6 +260,48 @@ def test_exp_table_multiplies_like_schoolbook(small_contexts):
         for _ in range(200):
             i, j = rng.randrange(m), rng.randrange(m)
             assert tuples[exp[(i + j) % m]] == reference_mul(ctx, tuples[exp[i]], tuples[exp[j]])
+
+
+def test_exp_table_equals_schoolbook_walk(small_contexts):
+    for ctx in _table_contexts(small_contexts) + [make_field_context(17, 2)]:
+        assert ctx.log_tables()[0] == reference_exp(ctx), ctx
+
+
+# sha256 of repr(log_tables()) per field.  They were computed with the walk
+# that built one coefficient tuple per element (add_t, then index_of), so they
+# pin that the packed walk gives the same exp, log and Zech lists.
+LOG_TABLES_SHA256 = {
+    (2, 16): "abd08c0b59be4d1eaccc3e0ff0ec0a3e7787f6b55b7f0696393346ea41f16ea9",
+    (3, 10): "b1a87d4cf2cb0b115e9b372768c2da239fd33dc73785051bd4f363ba01e1a885",
+    (3, 9): "1bd72b3060104c10c45754942e64ab7f405c8e85ee1db5b705017775228ed915",
+    (5, 6): "caf5e1a9a96ba02a95ba13faf7aba8d0498af9c486cd742cc322a89a4788ded0",
+    (7, 4): "862217c1178372353c3cf576e4e9f73e2866297433f9ae1080866e5dfe372fb2",
+}
+
+
+@pytest.mark.parametrize("p,b", sorted(LOG_TABLES_SHA256))
+def test_log_tables_are_pinned(p, b):
+    tables = make_field_context(p, b).log_tables()
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == LOG_TABLES_SHA256[p, b]
+
+
+# The largest digit sum 2p - 2 is a power of two for p = 2, 3, 5, 17 and 257,
+# so it alone sets its slot's top bit, and each of these walks reaches it;
+# b = 1 leaves the walk's high half empty.
+@pytest.mark.parametrize("p,b", [(2, 4), (3, 4), (5, 3), (17, 2), (257, 2), (257, 1)])
+def test_exp_walk_at_slot_width_edges(p, b):
+    ctx = make_field_context(p, b)
+    exp, _, _ = ctx.log_tables()
+    m = ctx.q - 1
+    assert sorted(exp) == list(range(1, ctx.q))
+
+    def element(index):
+        return tuple(index // p ** j % p for j in reversed(range(b)))
+
+    rng = random.Random(p ** b)
+    for _ in range(200):
+        i, j = rng.randrange(m), rng.randrange(m)
+        assert element(exp[(i + j) % m]) == reference_mul(ctx, element(exp[i]), element(exp[j]))
 
 
 def test_zech_table_adds_one(small_contexts):

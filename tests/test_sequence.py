@@ -141,6 +141,32 @@ def test_every_excluded_n_has_a_residue_proof():
             assert any(count % m not in SQUARES_MOD[m] for m in SIEVE_MODULI), (q, a, n)
 
 
+def _trace_mod(q, a, n, m):
+    """a_n mod m by Lucas doubling, every step reduced mod m."""
+    v, w, q_k = 2, a % m, 1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w, q_k = (v * w - a * q_k) % m, (w * w - 2 * q_k * q) % m, q_k * q_k * q % m
+        else:
+            v, w, q_k = (v * v - 2 * q_k) % m, (v * w - a * q_k) % m, q_k * q_k % m
+    return v
+
+
+def test_excluded_n_to_1e5_have_a_residue_proof():
+    """200 random n <= 10^5 the scan drops, per nondegenerate pair, have N_n a
+    non-square modulo some sieve modulus, with a_n mod m from doubling mod m."""
+    rng = random.Random(100000)
+    for q, a in [(2, -1), (47, -1), (49, 13)]:
+        assert classify_degeneracy(q, a) is None
+        assert all(_trace_mod(q, a, n, m) == trace_term(q, a, n) % m
+                   for n in range(1, 100) for m in SIEVE_MODULI[:8])
+        found = {h.n for h in square_hits_scan(q, a, 10 ** 5)}
+        excluded = [n for n in range(1, 10 ** 5 + 1) if n not in found]
+        for n in rng.sample(excluded, 200):
+            assert any((pow(q, n, m) + 1 - _trace_mod(q, a, n, m)) % m not in SQUARES_MOD[m]
+                       for m in SIEVE_MODULI), (q, a, n)
+
+
 def test_closed_form_sign_must_match_the_residue():
     # (2, 2) has m = 4 and a_4 = -8 = -2 * 2^2, so N_4 = (4 + 1)^2.
     pp = as_prime_power(2)
