@@ -35,8 +35,8 @@ def perfect_square_root(x: int) -> int | None:
     """
     if x < 0:
         return None
-    r = x % _FILTER_MODULUS
-    for m, table in SIEVE_TABLES[:4]:
+    r = x % FILTER_MODULUS
+    for m, table in FILTER_TABLES:
         if not table[r % m]:
             return None
     u = isqrt(x)
@@ -98,8 +98,10 @@ def _square_residue_table(m: int) -> bytes:
 
 # Pairwise coprime sieve moduli: 64, 63, 65, 11 and the primes 17 to 199.  An
 # integer whose residue modulo any of them is flagged 0 is not a square.  Their
-# product SIEVE_MODULUS has 279 bits.
+# product has 279 bits.
 SIEVE_MODULI = (64, 63, 65, 11) + tuple(p for p in range(17, 200) if is_prime(p))
 SIEVE_TABLES = tuple((m, _square_residue_table(m)) for m in SIEVE_MODULI)
-SIEVE_MODULUS = math.prod(SIEVE_MODULI)
-_FILTER_MODULUS = math.prod(SIEVE_MODULI[:4])
+# The first four moduli, whose product 2,882,880 fits in 22 bits, are both the
+# pre-filter of perfect_square_root and stage 1 of sequence.square_hits_scan.
+FILTER_TABLES = SIEVE_TABLES[:4]
+FILTER_MODULUS = math.prod(m for m, _ in FILTER_TABLES)

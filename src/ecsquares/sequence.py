@@ -7,22 +7,39 @@ never materialized: a_n satisfies the integer recurrence
     a_0 = 2,  a_1 = a,  a_n = a * a_(n-1) - q * a_(n-2),
 
 ``trace_sequence`` evaluates it exactly in arbitrary precision (a_1000 for
-q = 49 needs about 5615 bits), for listing terms.  ``square_hits_scan`` runs
-the same recurrence modulo the 279-bit ``SIEVE_MODULUS`` to select candidates:
-an n is dropped only when N_n is a non-residue modulo one of the sieve moduli,
-which proves it is not a square.  Each survivor is confirmed exactly, with a_n
-from Lucas doubling (``trace_term``) and the root from ``math.isqrt``, so a
-term of O(n) bits is built only for the few n that may be squares.
+q = 49 needs about 5615 bits), for listing terms.  ``square_hits_scan`` selects
+candidates with a two-stage residue sieve over the 44 sieve moduli, dropping
+an n only when N_n is a non-residue modulo one of them, which proves it is not
+a square.  Stage 1 runs the recurrence and q^n at every n modulo the 22-bit
+product of the first four moduli, 64 * 63 * 65 * 11, and throws out about 92%
+of n.  Stage 2 reaches each survivor from the previous one in a single jump
+modulo the 258-bit product of the other 40, with the Lucas U-sequence of
+(a, q), and tests N_n against those.  Each survivor of both is confirmed
+exactly, with a_n from Lucas doubling (``trace_term``) and the root from
+``math.isqrt``, so a term of O(n) bits is built only for the few n that may be
+squares.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numeric import SIEVE_MODULUS, SIEVE_TABLES, isqrt, perfect_square_root
+from .numeric import (
+    FILTER_MODULUS,
+    FILTER_TABLES,
+    SIEVE_TABLES,
+    isqrt,
+    perfect_square_root,
+)
 from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
+
+# Stage 2 of square_hits_scan: the 40 sieve moduli after the first four, in
+# order, and their 258-bit product.
+_JUMP_TABLES = SIEVE_TABLES[len(FILTER_TABLES):]
+_JUMP_MODULUS = math.prod(m for m, _ in _JUMP_TABLES)
 
 
 @dataclass(frozen=True)
@@ -87,49 +104,79 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
     """All n <= nmax where the point count over GF(q^n) is a perfect square.
 
-    a_n and q^n run modulo ``SIEVE_MODULUS``; N_n is tested against each sieve
-    modulus in turn and n is dropped at the first non-residue.  A survivor is
-    a hit when ``perfect_square_root`` of the exact count (a_n by
-    ``trace_term``) succeeds.  For a degenerate pair and m | n the count is
-    (s -+ 1)^2 with s*s = q^n, as in ``guaranteed_square``; the sign comes from
-    matching a_n against +-2s modulo ``SIEVE_MODULUS``.
+    Stage 1 runs a_n and q^n modulo ``FILTER_MODULUS`` = 64 * 63 * 65 * 11, a
+    22-bit int, at every n and drops n at the first of those four moduli where
+    N_n is a non-residue.  Stage 2 sees only the survivors, about one n in 12:
+    it jumps (a_k, a_(k+1), q^k) modulo the 258-bit product of the other 40
+    sieve moduli from the previous survivor k to n = k + g with
+
+        a_(k+g) = U_g * a_(k+1) - q * U_(g-1) * a_k,   q^(k+g) = q^k * q^g,
+
+    where U_0 = 0, U_1 = 1, U_j = a * U_(j-1) - q * U_(j-2), and tests N_n
+    against those 40 moduli in order.  U_j and q^j are listed per scan and the
+    lists grow only when a gap is longer than every earlier one, so there are
+    never more 258-bit steps than n.  A survivor of both stages is a hit when
+    ``perfect_square_root`` of the exact count (a_n by ``trace_term``)
+    succeeds.  For a degenerate pair and m | n the count is (s -+ 1)^2 with
+    s*s = q^n, as in ``guaranteed_square``; the sign comes from matching the
+    stage-1 residue of a_n against +-2s.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
-    qv, modulus = pp.q, SIEVE_MODULUS
+    qv, mod1, mod2 = pp.q, FILTER_MODULUS, _JUMP_MODULUS
     hits = []
-    prev, cur, q_pow = 2, a % modulus, 1
+    # Stage 1: a_(n-1), a_n and q^n modulo mod1, and the four residue tables.
+    prev, cur, q_pow = 2, a % mod1, 1
+    (m1, t1), (m2, t2), (m3, t3), (m4, t4) = FILTER_TABLES
+    # Stage 2: a_k, a_(k+1), q^k at the last survivor k, U_j, q * U_j and q^j.
+    k, a_k, a_k1, q_k = 0, 2, a, 1
+    us, qus, q_pows = [0, 1], [0, qv], [1, qv]
     for n in range(1, nmax + 1):
-        q_pow = q_pow * qv % modulus
+        q_pow = q_pow * qv % mod1
         if m is not None and n % m == 0:
             u = _closed_form_root(pp, a, n, cur)
         else:
+            u = None
             x = q_pow + 1 - cur
-            for sieve_m, table in SIEVE_TABLES:
-                if not table[x % sieve_m]:
-                    u = None
-                    break
-            else:
-                u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
+            if t1[x % m1] and t2[x % m2] and t3[x % m3] and t4[x % m4]:
+                g, k = n - k, n
+                while len(us) <= g + 1:
+                    u_j = (a * us[-1] - qus[-2]) % mod2
+                    us.append(u_j)
+                    qus.append(qv * u_j % mod2)
+                    q_pows.append(q_pows[-1] * qv % mod2)
+                a_k, a_k1 = ((us[g] * a_k1 - qus[g - 1] * a_k) % mod2,
+                             (us[g + 1] * a_k1 - qus[g] * a_k) % mod2)
+                q_k = q_k * q_pows[g] % mod2
+                x = q_k + 1 - a_k
+                for sieve_m, table in _JUMP_TABLES:
+                    if not table[x % sieve_m]:
+                        break
+                else:
+                    u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
         if u is not None:
             hits.append(SquareHit(q=pp, a=a, n=n, u=u,
                                   degenerate_m=m, source="scan"))
-        prev, cur = cur, (a * cur - qv * prev) % modulus
+        prev, cur = cur, (a * cur - qv * prev) % mod1
     return hits
 
 
 def _closed_form_root(pp: PrimePower, a: int, n: int, a_n_residue: int) -> int:
-    """u for a degenerate pair at m | n, where a_n = +-2s and s = p^(b*n/2)."""
+    """u for a degenerate pair at m | n, where a_n = +-2s and s = p^(b*n/2).
+
+    a_n_residue is a_n modulo ``FILTER_MODULUS``.  That modulus has more than
+    one prime factor, so it does not divide 4s and the two signs differ there.
+    """
     s = pp.p ** (pp.b * n // 2)
-    if a_n_residue == 2 * s % SIEVE_MODULUS:
+    if a_n_residue == 2 * s % FILTER_MODULUS:
         return s - 1
-    if a_n_residue == -2 * s % SIEVE_MODULUS:
+    if a_n_residue == -2 * s % FILTER_MODULUS:
         return s + 1
     raise RuntimeError(
         f"invariant violation: a_{n} is not +-2*sqrt(q^{n}) modulo the sieve "
-        f"modulus for degenerate pair ({pp.q}, {a})")
+        f"filter modulus for degenerate pair ({pp.q}, {a})")
 
 
 def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None:

@@ -279,3 +279,16 @@ def test_search_formats_are_pinned(capsys, fmt):
                            "--degenerate", "include", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORMAT_SHA256[fmt]
+
+
+# sha256 of the JSONL stdout of `search --qmax 200`, beyond the paper's q < 50:
+# 128 records from the 1,854 nondegenerate Waterhouse-admissible pairs with
+# q < 200, n <= 1000.
+QMAX_200_SHA256 = "36d7d618333791b211690193e6b3a9e44ce3519ed10b9628083dfcaad519facf"
+
+
+def test_search_beyond_the_paper_qmax_200_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "search", "--qmax", "200")
+    assert code == 0
+    assert len(out.splitlines()) == 128
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QMAX_200_SHA256

@@ -12,12 +12,13 @@ from ecsquares import (
     guaranteed_square,
     hasse_bound,
     realize_trace,
+    sequence,
     sporadic_list,
     square_hits_scan,
     trace_sequence,
     trace_term,
 )
-from ecsquares.numeric import SIEVE_MODULI, SIEVE_MODULUS
+from ecsquares.numeric import FILTER_MODULUS, SIEVE_MODULI
 from ecsquares.search import prime_powers_below
 from ecsquares.sequence import _closed_form_root
 from ecsquares.traces import as_prime_power
@@ -122,13 +123,56 @@ def test_sieve_scan_matches_exact_scan(pair, nmax):
 SQUARES_MOD = {m: {i * i % m for i in range(m)} for m in SIEVE_MODULI}
 
 
+# Nondegenerate pairs whose q is a prime among the 40 stage-2 moduli, so q^n is
+# 0 modulo that prime, with the longest gap between stage-1 survivors (n where
+# N_n is a square modulo 64, 63, 65 and 11) for n <= 2000; plus one pair per q
+# whose gaps are all short, and the degenerate (17, 0) with m = 2.
+LONG_GAP_PAIRS = {(17, 6): 252, (17, -1): 84, (127, 17): 252, (127, 10): 168,
+                  (199, 14): 840, (199, 3): 420}
+SHORT_GAP_PAIRS = [(17, 4), (127, -12), (199, -24), (17, 0)]
+
+
+class RecordingTable:
+    """Stands in for the stage-2 residue tables: records each N_n mod M2 it is
+    asked about and accepts none."""
+
+    def __init__(self):
+        self.residues = []
+
+    def __getitem__(self, residue):
+        self.residues.append(residue)
+        return 0
+
+
+def test_stage_two_jump_is_exact_for_long_gaps(monkeypatch):
+    """Stage 2 sees exactly the stage-1 survivors, and its jump lands on N_n
+    modulo M2 at each of them, across gaps of up to 840 terms."""
+    jump_modulus = math.prod(SIEVE_MODULI[4:])
+    assert jump_modulus.bit_length() == 258
+    for (q, a), longest in LONG_GAP_PAIRS.items():
+        assert classify_degeneracy(q, a) is None
+        survivors = [t for t in trace_sequence(q, a, 2000)
+                     if all(t.N_n % m in SQUARES_MOD[m] for m in SIEVE_MODULI[:4])]
+        ns = [0] + [t.n for t in survivors]
+        assert max(hi - lo for lo, hi in zip(ns, ns[1:])) == longest, (q, a)
+        table = RecordingTable()
+        with monkeypatch.context() as patch:
+            patch.setattr(sequence, "_JUMP_TABLES", ((jump_modulus, table),))
+            assert square_hits_scan(q, a, 2000) == []
+        assert table.residues == [t.N_n % jump_modulus for t in survivors], (q, a)
+    assert classify_degeneracy(17, 0) == 2
+    for q, a in [*LONG_GAP_PAIRS, *SHORT_GAP_PAIRS]:
+        hits = square_hits_scan(q, a, 2000)
+        assert [(h.n, h.u) for h in hits] == exact_scan(q, a, 2000), (q, a)
+
+
 def test_every_excluded_n_has_a_residue_proof():
     """Each n <= 2000 the sieve drops has N_n, exact from Lucas doubling, a
     non-square modulo some sieve modulus; no modular stream is involved."""
     assert len(SIEVE_MODULI) == 44
     assert math.prod(SIEVE_MODULI).bit_length() == 279
     rng = random.Random(20261018)
-    pairs = [(2, -1), (47, -1), (32, 5), (2, 0), (3, 3), (32, 8)]
+    pairs = [(2, -1), (47, -1), (32, 5), (2, 0), (3, 3), (32, 8), (17, 6), (199, 14)]
     for pp in rng.sample(prime_powers_below(50), 8):
         bound = hasse_bound(pp)
         pairs.append((pp.q, rng.randint(-bound, bound)))
@@ -168,12 +212,17 @@ def test_excluded_n_to_1e5_have_a_residue_proof():
 
 
 def test_closed_form_sign_must_match_the_residue():
+    # The sign is read off a_n modulo the stage-1 modulus 64 * 63 * 65 * 11.
+    assert FILTER_MODULUS == 2882880
     # (2, 2) has m = 4 and a_4 = -8 = -2 * 2^2, so N_4 = (4 + 1)^2.
     pp = as_prime_power(2)
-    assert _closed_form_root(pp, 2, 4, -8 % SIEVE_MODULUS) == 5
+    assert _closed_form_root(pp, 2, 4, -8 % FILTER_MODULUS) == 5
     assert _closed_form_root(pp, 2, 4, 8) == 3
     with pytest.raises(RuntimeError):
         _closed_form_root(pp, 2, 4, 7)
+    # (17, 0) has m = 2 and a_2 = -34 = -2 * 17, so N_2 = 324 = (17 + 1)^2.
+    assert trace_term(17, 0, 2) == -34
+    assert _closed_form_root(as_prime_power(17), 0, 2, -34 % FILTER_MODULUS) == 18
 
 
 def test_scan_q2_a_minus1():
