@@ -10,14 +10,14 @@ never materialized: a_n satisfies the integer recurrence
 q = 49 needs about 5615 bits), for listing terms.  ``square_hits_scan`` selects
 candidates with a two-stage residue sieve over the 44 sieve moduli, dropping
 an n only when N_n is a non-residue modulo one of them, which proves it is not
-a square.  Stage 1 runs the recurrence and q^n at every n modulo the 22-bit
-product of the first four moduli, 64 * 63 * 65 * 11, and throws out about 92%
-of n.  Stage 2 reaches each survivor from the previous one in a single jump
-modulo the 258-bit product of the other 40, with the Lucas U-sequence of
-(a, q), and tests N_n against those.  Each survivor of both is confirmed
-exactly, with a_n from Lucas doubling (``trace_term``) and the root from
-``math.isqrt``, so a term of O(n) bits is built only for the few n that may be
-squares.
+a square.  Stage 1 walks the recurrence and q^n modulo each prime-power factor
+of 64 * 63 * 65 * 11 once, until the state repeats, and tiles what that period
+excludes: about 92% of n.  Stage 2 reaches each survivor from the previous one
+in a single jump modulo the 258-bit product of the other 40, with the Lucas
+U-sequence of (a, q), and tests N_n against those.  Each survivor of both is
+confirmed exactly, with a_n from Lucas doubling (``trace_term``) and the root
+from ``math.isqrt``, so a term of O(n) bits is built only for the few n that
+may be squares.
 """
 
 from __future__ import annotations
@@ -27,17 +27,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numeric import (
-    FILTER_MODULUS,
-    FILTER_TABLES,
-    SIEVE_TABLES,
-    isqrt,
-    perfect_square_root,
-)
+from .numeric import FILTER_TABLES, SIEVE_TABLES, isqrt, perfect_square_root
 from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
 
-# Stage 2 of square_hits_scan: the 40 sieve moduli after the first four, in
-# order, and their 258-bit product.
+# square_hits_scan: FILTER_MODULUS's prime-power factors with their squares, n
+# per live-set window, and the other 40 sieve moduli with their 258-bit product.
+_WALK_SQUARES = tuple((m, {i * i % m for i in range(m)}) for m in (64, 9, 7, 5, 13, 11))
+_WINDOW = 1 << 16
 _JUMP_TABLES = SIEVE_TABLES[len(FILTER_TABLES):]
 _JUMP_MODULUS = math.prod(m for m, _ in _JUMP_TABLES)
 
@@ -104,43 +100,42 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
     """All n <= nmax where the point count over GF(q^n) is a perfect square.
 
-    Stage 1 runs a_n and q^n modulo ``FILTER_MODULUS`` = 64 * 63 * 65 * 11, a
-    22-bit int, at every n and drops n at the first of those four moduli where
-    N_n is a non-residue.  Stage 2 sees only the survivors, about one n in 12:
-    it jumps (a_k, a_(k+1), q^k) modulo the 258-bit product of the other 40
-    sieve moduli from the previous survivor k to n = k + g with
-
-        a_(k+g) = U_g * a_(k+1) - q * U_(g-1) * a_k,   q^(k+g) = q^k * q^g,
-
-    where U_0 = 0, U_1 = 1, U_j = a * U_(j-1) - q * U_(j-2), and tests N_n
-    against those 40 moduli in order.  U_j and q^j are listed per scan and the
-    lists grow only when a gap is longer than every earlier one, so there are
-    never more 258-bit steps than n.  A survivor of both stages is a hit when
-    ``perfect_square_root`` of the exact count (a_n by ``trace_term``)
+    Stage 1 walks (a_n, a_(n+1), q^n) modulo each prime-power factor of
+    ``FILTER_MODULUS`` = 64 * 63 * 65 * 11 to its first repeated state and
+    tiles the n where N_n is a non-residue there, ``_WINDOW`` n at a time.
+    Stage 2 jumps (a_k, a_(k+1), q^k) modulo the other 40 sieve moduli from
+    one survivor k to the next, n = k + g, by the Lucas U-sequence of (a, q):
+    a_(k+g) = U_g * a_(k+1) - q * U_(g-1) * a_k, q^(k+g) = q^k * q^g.  U_j
+    and q^j are listed up to the longest gap so far.  A survivor of both is a
+    hit when ``perfect_square_root`` of the exact count (``trace_term``)
     succeeds.  For a degenerate pair and m | n the count is (s -+ 1)^2 with
-    s*s = q^n, as in ``guaranteed_square``; the sign comes from matching the
-    stage-1 residue of a_n against +-2s.
+    s*s = q^n, as in ``guaranteed_square``, a square stage 1 always keeps, and
+    the sign is read from a_n modulo a walked factor prime to 2p.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
-    qv, mod1, mod2 = pp.q, FILTER_MODULUS, _JUMP_MODULUS
+    qv, mod2, width = pp.q, _JUMP_MODULUS, min(_WINDOW, nmax)
     hits = []
-    # Stage 1: a_(n-1), a_n and q^n modulo mod1, and the four residue tables.
-    prev, cur, q_pow = 2, a % mod1, 1
-    (m1, t1), (m2, t2), (m3, t3), (m4, t4) = FILTER_TABLES
+    walks = {mod: _stage_one_walk(qv, a, mod, squares, width) for mod, squares in _WALK_SQUARES}
+    ell = next(mod for mod in walks if math.gcd(mod, 2 * pp.p) == 1)
     # Stage 2: a_k, a_(k+1), q^k at the last survivor k, U_j, q * U_j and q^j.
     k, a_k, a_k1, q_k = 0, 2, a, 1
     us, qus, q_pows = [0, 1], [0, qv], [1, qv]
-    for n in range(1, nmax + 1):
-        q_pow = q_pow * qv % mod1
-        if m is not None and n % m == 0:
-            u = _closed_form_root(pp, a, n, cur)
-        else:
+    for lo in range(1, nmax + 1, width):
+        excluded = 0
+        for mu, lam, tiled, _ in walks.values():
+            excluded |= tiled >> _period_index(lo, mu, lam)
+        live = bin(~excluded & (1 << min(width, nmax + 1 - lo)) - 1)[:1:-1]
+        i = live.find("1")
+        while i >= 0:
+            n, i = lo + i, live.find("1", i + 1)
             u = None
-            x = q_pow + 1 - cur
-            if t1[x % m1] and t2[x % m2] and t3[x % m3] and t4[x % m4]:
+            if m is not None and n % m == 0:
+                mu, lam, _, a_ns = walks[ell]
+                u = _closed_form_root(pp, a, n, a_ns[_period_index(n, mu, lam)], ell)
+            else:
                 g, k = n - k, n
                 while len(us) <= g + 1:
                     u_j = (a * us[-1] - qus[-2]) % mod2
@@ -156,27 +151,52 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
                         break
                 else:
                     u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
-        if u is not None:
-            hits.append(SquareHit(q=pp, a=a, n=n, u=u,
-                                  degenerate_m=m, source="scan"))
-        prev, cur = cur, (a * cur - qv * prev) % mod1
+            if u is not None:
+                hits.append(SquareHit(q=pp, a=a, n=n, u=u,
+                                      degenerate_m=m, source="scan"))
     return hits
 
 
-def _closed_form_root(pp: PrimePower, a: int, n: int, a_n_residue: int) -> int:
+def _stage_one_walk(qv: int, a: int, m: int, squares: set[int],
+                    width: int) -> tuple[int, int, int, list[int]]:
+    """(mu, lam, excluded, a_ns) for (a_n, a_(n+1), q^n) mod m walked from n = 1.
+
+    n = mu + lam is the first n whose state repeats, that of mu; a_ns[n - 1] is
+    a_n mod m for n < mu + lam.  Bit n - 1 of excluded flags N_n a non-residue
+    mod m, tiled with doubling shifts to past n = mu + lam + width.
+    """
+    seen, head, a_n, a_n1, q_n = {}, 0, a % m, (a * a - 2 * qv) % m, qv % m
+    while (a_n, a_n1, q_n) not in seen:
+        seen[a_n, a_n1, q_n] = n = len(seen) + 1
+        head |= ((q_n + 1 - a_n) % m not in squares) << n - 1
+        a_n, a_n1, q_n = a_n1, (a * a_n1 - qv * a_n) % m, q_n * qv % m
+    mu = seen[a_n, a_n1, q_n]
+    lam = len(seen) + 1 - mu
+    tiled, length = head >> mu - 1, lam
+    while length < width + lam:
+        tiled, length = tiled | tiled << length, 2 * length
+    return mu, lam, head & (1 << mu - 1) - 1 | tiled << mu - 1, [state[0] for state in seen]
+
+
+def _period_index(n: int, mu: int, lam: int) -> int:
+    """n' - 1 for the walked n' < mu + lam whose state n shares."""
+    return n - 1 if n < mu else mu - 1 + (n - mu) % lam
+
+
+def _closed_form_root(pp: PrimePower, a: int, n: int, a_n_residue: int, modulus: int) -> int:
     """u for a degenerate pair at m | n, where a_n = +-2s and s = p^(b*n/2).
 
-    a_n_residue is a_n modulo ``FILTER_MODULUS``.  That modulus has more than
-    one prime factor, so it does not divide 4s and the two signs differ there.
+    a_n_residue is a_n modulo a modulus prime to 2p.  It does not divide 4s,
+    so the two signs differ there.
     """
     s = pp.p ** (pp.b * n // 2)
-    if a_n_residue == 2 * s % FILTER_MODULUS:
+    if a_n_residue == 2 * s % modulus:
         return s - 1
-    if a_n_residue == -2 * s % FILTER_MODULUS:
+    if a_n_residue == -2 * s % modulus:
         return s + 1
     raise RuntimeError(
-        f"invariant violation: a_{n} is not +-2*sqrt(q^{n}) modulo the sieve "
-        f"filter modulus for degenerate pair ({pp.q}, {a})")
+        f"invariant violation: a_{n} is not +-2*sqrt(q^{n}) modulo {modulus} "
+        f"for degenerate pair ({pp.q}, {a})")
 
 
 def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None:

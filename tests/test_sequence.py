@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -212,17 +213,108 @@ def test_excluded_n_to_1e5_have_a_residue_proof():
 
 
 def test_closed_form_sign_must_match_the_residue():
-    # The sign is read off a_n modulo the stage-1 modulus 64 * 63 * 65 * 11.
-    assert FILTER_MODULUS == 2882880
+    # The sign is read off a_n modulo the first walked factor prime to 2p: 9,
+    # or 7 when p = 3.  Either is prime to 4s, so +-2s differ there.
     # (2, 2) has m = 4 and a_4 = -8 = -2 * 2^2, so N_4 = (4 + 1)^2.
     pp = as_prime_power(2)
-    assert _closed_form_root(pp, 2, 4, -8 % FILTER_MODULUS) == 5
-    assert _closed_form_root(pp, 2, 4, 8) == 3
+    assert _closed_form_root(pp, 2, 4, -8 % 9, 9) == 5
+    assert _closed_form_root(pp, 2, 4, 8, 9) == 3
     with pytest.raises(RuntimeError):
-        _closed_form_root(pp, 2, 4, 7)
+        _closed_form_root(pp, 2, 4, 7, 9)
     # (17, 0) has m = 2 and a_2 = -34 = -2 * 17, so N_2 = 324 = (17 + 1)^2.
     assert trace_term(17, 0, 2) == -34
-    assert _closed_form_root(as_prime_power(17), 0, 2, -34 % FILTER_MODULUS) == 18
+    assert _closed_form_root(as_prime_power(17), 0, 2, -34 % 9, 9) == 18
+    # (3, 3) has m = 6 and a_6 = -54 = -2 * 3^3, so N_6 = (27 + 1)^2.
+    assert trace_term(3, 3, 6) == -54
+    assert _closed_form_root(as_prime_power(3), 3, 6, -54 % 7, 7) == 28
+
+
+# For each stage-1 factor, the q < 50 sharing its prime, where q^n mod m dies
+# out and the walk can have a pre-period, and one q prime to it.
+SHARING_Q = {64: [2, 4, 8, 16, 32], 9: [3, 9, 27], 7: [7, 49], 5: [5, 25],
+             13: [13], 11: [11]}
+COPRIME_Q = {64: 49, 9: 4, 7: 2, 5: 47, 13: 25, 11: 3}
+
+
+def test_stage_one_walk_proves_its_period():
+    """Each walk ends at an exact state repeat: (a_n, a_(n+1), q^n) mod m from
+    exact ``trace_term`` values agrees at n = mu and mu + lam and not at
+    mu - 1 and mu - 1 + lam, and the excluded bits are the non-residues of the
+    exact N_n over the pre-period and two periods."""
+    moduli = [mod for mod, _ in sequence._WALK_SQUARES]
+    assert moduli == list(SHARING_Q) and math.prod(moduli) == FILTER_MODULUS
+
+    def state(q, a, n, mod):
+        return trace_term(q, a, n) % mod, trace_term(q, a, n + 1) % mod, pow(q, n, mod)
+
+    pre_periods = {}
+    for (mod, squares), shared in zip(sequence._WALK_SQUARES, SHARING_Q.values()):
+        own_squares = {i * i % mod for i in range(mod)}
+        for q in [*shared, COPRIME_Q[mod]]:
+            bound = hasse_bound(as_prime_power(q))
+            for a in (-bound, 1):
+                mu, lam, excluded, a_ns = sequence._stage_one_walk(q, a, mod, squares, 1000)
+                assert state(q, a, mu, mod) == state(q, a, mu + lam, mod), (q, a, mod)
+                if mu > 1:
+                    assert state(q, a, mu - 1, mod) != state(q, a, mu - 1 + lam, mod)
+                assert a_ns == [trace_term(q, a, n) % mod for n in range(1, mu + lam)]
+                for n in range(1, mu + 2 * lam):
+                    count = q ** n + 1 - trace_term(q, a, n)
+                    assert (excluded >> n - 1) & 1 == (count % mod not in own_squares), (q, a, n)
+                pre_periods[q, a, mod] = mu
+                hits = square_hits_scan(q, a, mu + 3 * lam)
+                assert [(h.n, h.u) for h in hits] == exact_scan(q, a, mu + 3 * lam)
+    # The sharing pairs do exercise pre-periods, longest for (2, -2) mod 64;
+    # where q is a unit mod m the step is invertible and the walk is purely
+    # periodic.
+    assert max(pre_periods.values()) == pre_periods[2, -2, 64] == 10
+    assert all(mu == 1 for (q, _, mod), mu in pre_periods.items() if math.gcd(q, mod) == 1)
+
+
+@pytest.mark.parametrize("window", [1, 5, 97])
+def test_scan_across_narrow_windows(monkeypatch, window):
+    """Windows narrower than a pre-period or a period read the same hits."""
+    monkeypatch.setattr(sequence, "_WINDOW", window)
+    for q, a in [(2, -1), (2, 1), (4, 3), (32, 8), (3, 3), (27, 5), (2, 2), (49, 13)]:
+        assert [(h.n, h.u) for h in square_hits_scan(q, a, 400)] == exact_scan(q, a, 400)
+
+
+def test_survivors_across_three_windows_are_the_residue_proof_set(monkeypatch):
+    """Over more than three windows, stage 2 is asked about exactly the n where
+    N_n is a square modulo 64, 63, 65 and 11, and lands on N_n mod M2 there;
+    a_n and q^n run here modulo those four by the plain per-n recurrence."""
+    nmax = 3 * sequence._WINDOW + 1234
+    filter_mod, jump_modulus = math.prod(SIEVE_MODULI[:4]), math.prod(SIEVE_MODULI[4:])
+    for q, a in [(2, -1), (4, 3)]:
+        survivors, prev, cur, q_n = [], 2, a, 1
+        for n in range(1, nmax + 1):
+            q_n = q_n * q % filter_mod
+            if all((q_n + 1 - cur) % m in SQUARES_MOD[m] for m in SIEVE_MODULI[:4]):
+                survivors.append(n)
+            prev, cur = cur, (a * cur - q * prev) % filter_mod
+        table = RecordingTable()
+        with monkeypatch.context() as patch:
+            patch.setattr(sequence, "_JUMP_TABLES", ((jump_modulus, table),))
+            assert square_hits_scan(q, a, nmax) == []
+        assert survivors[-1] > 3 * sequence._WINDOW
+        assert table.residues == [
+            (pow(q, n, jump_modulus) + 1 - _trace_mod(q, a, n, jump_modulus)) % jump_modulus
+            for n in survivors], (q, a)
+
+
+def test_scan_memory_does_not_grow_with_nmax():
+    """A scan to n = 2 * 10^6 peaks under 1 MiB; one bin() string of a
+    full-length live set would take 2 MB.  (23, -3) keeps the fewest stage-1
+    survivors of the paper's pairs, so its stage-2 gaps and U lists are the
+    longest."""
+    assert classify_degeneracy(23, -3) is None
+    tracemalloc.start()
+    try:
+        assert square_hits_scan(23, -3, 2 * 10 ** 6) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_scan_q2_a_minus1():
