@@ -91,11 +91,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Counts pass str()'s 4,300-digit guard (Python >= 3.10.7) from about
+    # n = 2,545 for q = 49; lift it for the command only, so parsing and
+    # in-process callers keep theirs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _dispatch(args)
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def _dispatch(args) -> int:

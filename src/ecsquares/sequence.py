@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError
+# ``isqrt`` is unused here: perfbench's tracer wraps it at this module's name.
 from .numeric import FILTER_TABLES, SIEVE_TABLES, isqrt, perfect_square_root
 from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
 
@@ -108,9 +109,9 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
     a_(k+g) = U_g * a_(k+1) - q * U_(g-1) * a_k, q^(k+g) = q^k * q^g.  U_j
     and q^j are listed up to the longest gap so far.  A survivor of both is a
     hit when ``perfect_square_root`` of the exact count (``trace_term``)
-    succeeds.  For a degenerate pair and m | n the count is (s -+ 1)^2 with
-    s*s = q^n, as in ``guaranteed_square``, a square stage 1 always keeps, and
-    the sign is read from a_n modulo a walked factor prime to 2p.
+    succeeds.  For a degenerate pair of order m and n = km the count is
+    (c^k - 1)^2 with c = a_m / 2, as in ``guaranteed_square``, a square stage
+    1 always keeps.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
@@ -118,23 +119,23 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
         raise DomainError(f"nmax must be >= 1, got {nmax}")
     qv, mod2, width = pp.q, _JUMP_MODULUS, min(_WINDOW, nmax)
     hits = []
-    walks = {mod: _stage_one_walk(qv, a, mod, squares, width) for mod, squares in _WALK_SQUARES}
-    ell = next(mod for mod in walks if math.gcd(mod, 2 * pp.p) == 1)
+    c = None if m is None else _cycle_root(pp, a, m)
+    walks = [_stage_one_walk(qv, a, mod, squares, width) for mod, squares in _WALK_SQUARES]
     # Stage 2: a_k, a_(k+1), q^k at the last survivor k, U_j, q * U_j and q^j.
     k, a_k, a_k1, q_k = 0, 2, a, 1
     us, qus, q_pows = [0, 1], [0, qv], [1, qv]
     for lo in range(1, nmax + 1, width):
         excluded = 0
-        for mu, lam, tiled, _ in walks.values():
-            excluded |= tiled >> _period_index(lo, mu, lam)
+        for mu, lam, tiled in walks:
+            # From bit n - 1 for the walked n with lo's state: lo, or its place in the period.
+            excluded |= tiled >> (lo - 1 if lo < mu else mu - 1 + (lo - mu) % lam)
         live = bin(~excluded & (1 << min(width, nmax + 1 - lo)) - 1)[:1:-1]
         i = live.find("1")
         while i >= 0:
             n, i = lo + i, live.find("1", i + 1)
             u = None
             if m is not None and n % m == 0:
-                mu, lam, _, a_ns = walks[ell]
-                u = _closed_form_root(pp, a, n, a_ns[_period_index(n, mu, lam)], ell)
+                u = abs(c ** (n // m) - 1)
             else:
                 g, k = n - k, n
                 while len(us) <= g + 1:
@@ -158,12 +159,12 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
 
 
 def _stage_one_walk(qv: int, a: int, m: int, squares: set[int],
-                    width: int) -> tuple[int, int, int, list[int]]:
-    """(mu, lam, excluded, a_ns) for (a_n, a_(n+1), q^n) mod m walked from n = 1.
+                    width: int) -> tuple[int, int, int]:
+    """(mu, lam, excluded) for (a_n, a_(n+1), q^n) mod m walked from n = 1.
 
-    n = mu + lam is the first n whose state repeats, that of mu; a_ns[n - 1] is
-    a_n mod m for n < mu + lam.  Bit n - 1 of excluded flags N_n a non-residue
-    mod m, tiled with doubling shifts to past n = mu + lam + width.
+    n = mu + lam is the first n whose state repeats, that of mu.  Bit n - 1 of
+    excluded flags N_n a non-residue mod m, tiled with doubling shifts to past
+    n = mu + lam + width.
     """
     seen, head, a_n, a_n1, q_n = {}, 0, a % m, (a * a - 2 * qv) % m, qv % m
     while (a_n, a_n1, q_n) not in seen:
@@ -175,37 +176,31 @@ def _stage_one_walk(qv: int, a: int, m: int, squares: set[int],
     tiled, length = head >> mu - 1, lam
     while length < width + lam:
         tiled, length = tiled | tiled << length, 2 * length
-    return mu, lam, head & (1 << mu - 1) - 1 | tiled << mu - 1, [state[0] for state in seen]
+    return mu, lam, head & (1 << mu - 1) - 1 | tiled << mu - 1
 
 
-def _period_index(n: int, mu: int, lam: int) -> int:
-    """n' - 1 for the walked n' < mu + lam whose state n shares."""
-    return n - 1 if n < mu else mu - 1 + (n - mu) % lam
+def _cycle_root(pp: PrimePower, a: int, m: int) -> int:
+    """c = a_m / 2 for a degenerate pair of order m, checked to satisfy c*c = q^m.
 
-
-def _closed_form_root(pp: PrimePower, a: int, n: int, a_n_residue: int, modulus: int) -> int:
-    """u for a degenerate pair at m | n, where a_n = +-2s and s = p^(b*n/2).
-
-    a_n_residue is a_n modulo a modulus prime to 2p.  It does not divide 4s,
-    so the two signs differ there.
+    Both Frobenius eigenvalues have m-th power c, so a_(km) = 2c^k and the
+    count over GF(q^(km)) is (c^k - 1)^2.
     """
-    s = pp.p ** (pp.b * n // 2)
-    if a_n_residue == 2 * s % modulus:
-        return s - 1
-    if a_n_residue == -2 * s % modulus:
-        return s + 1
-    raise RuntimeError(
-        f"invariant violation: a_{n} is not +-2*sqrt(q^{n}) modulo {modulus} "
-        f"for degenerate pair ({pp.q}, {a})")
+    a_m = trace_term(pp, a, m)
+    c = a_m // 2
+    if 2 * c != a_m or c * c != pp.q ** m:
+        raise RuntimeError(
+            f"invariant violation: a_{m} = {a_m} is not +-2*sqrt(q^{m}) "
+            f"for degenerate pair ({pp.q}, {a})")
+    return c
 
 
 def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None:
     """The structural square at n for a degenerate pair, or None when m does not divide n.
 
-    For a degenerate pair of order m and m | n, the trace satisfies
-    a_n = +-2s with s*s = q^n, so the count is (s -+ 1)^2.  The sign of a_n
-    is taken from the recurrence itself (published sign tables for these
-    families contain typos, see paper_check notes).
+    For a degenerate pair of order m and n = km, a_n = 2c^k with c = a_m / 2
+    and c*c = q^m, so the count is (c^k - 1)^2.  The sign of c comes from the
+    recurrence itself (published sign tables for these families contain
+    typos, see paper_check notes).
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
@@ -216,14 +211,7 @@ def guaranteed_square(q: "int | PrimePower", a: int, n: int) -> SquareHit | None
         raise DomainError(f"n must be >= 1, got {n}")
     if n % m != 0:
         return None
-    a_n = trace_term(pp, a, n)
-    q_n = pp.q ** n
-    s = isqrt(q_n)
-    if s * s != q_n or a_n not in (2 * s, -2 * s):
-        raise RuntimeError(
-            f"invariant violation: a_{n} = {a_n} is not +-2*sqrt(q^{n}) "
-            f"for degenerate pair ({pp.q}, {a})")
-    u = s - 1 if a_n > 0 else s + 1
+    u = abs(_cycle_root(pp, a, m) ** (n // m) - 1)
     return SquareHit(q=pp, a=a, n=n, u=u, degenerate_m=m, source="guaranteed")
 
 

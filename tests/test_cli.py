@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -292,3 +293,43 @@ def test_search_beyond_the_paper_qmax_200_is_pinned(capsys):
     assert code == 0
     assert len(out.splitlines()) == 128
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QMAX_200_SHA256
+
+
+# sha256 of the JSONL stdout of `search --degenerate only`: 25,835 records from
+# the 50 degenerate Waterhouse-admissible pairs with q < 50, n <= 1000, nearly
+# all of them cycle squares n = km with u = |c^k - 1|.
+DEGENERATE_ONLY_SHA256 = "d50193020f2eb615cf60927dcce451f9b4e9202f7e71a98f6bb02fb597718afc"
+
+
+def test_search_degenerate_only_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "search", "--degenerate", "only")
+    assert code == 0
+    assert len(out.splitlines()) == 25835
+    assert "from 50 (q, a) pairs" in err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEGENERATE_ONLY_SHA256
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="str() has no digit guard before Python 3.10.7")
+def test_counts_past_the_int_str_digit_limit_print_in_full(capsys):
+    """(49, 7) has m = 3 and c = a_3 / 2 = -7^3, so N_2550 = (7^2550 - 1)^2, with
+    4,311 digits: past Python's default 4,300-digit str() guard, which main
+    restores on return."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(capsys, "sequence", "--q", "49", "--a", "7", "--nmax", "2550",
+                               "--squares-only")
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, after) == (0, 4300)
+    lines = out.splitlines()
+    assert len(lines) == 850
+    fields = dict(field.split("=") for field in lines[-1].split())
+    assert fields["n"] == "2550"
+    # Only strings under the guard are converted here.
+    u = 7 ** 2550 - 1
+    assert (fields["a_n"], fields["u"]) == (str(2 * 7 ** 2550), str(u))
+    assert len(fields["N"]) == 4311 > 4300
+    assert fields["N"][-40:] == str(u * u % 10 ** 40).zfill(40)

@@ -21,7 +21,6 @@ from ecsquares import (
 )
 from ecsquares.numeric import FILTER_MODULUS, SIEVE_MODULI
 from ecsquares.search import prime_powers_below
-from ecsquares.sequence import _closed_form_root
 from ecsquares.traces import as_prime_power
 
 # (q, a) over every prime power q < 50 and its whole Hasse range, degenerate
@@ -212,21 +211,30 @@ def test_excluded_n_to_1e5_have_a_residue_proof():
                        for m in SIEVE_MODULI), (q, a, n)
 
 
-def test_closed_form_sign_must_match_the_residue():
-    # The sign is read off a_n modulo the first walked factor prime to 2p: 9,
-    # or 7 when p = 3.  Either is prime to 4s, so +-2s differ there.
-    # (2, 2) has m = 4 and a_4 = -8 = -2 * 2^2, so N_4 = (4 + 1)^2.
-    pp = as_prime_power(2)
-    assert _closed_form_root(pp, 2, 4, -8 % 9, 9) == 5
-    assert _closed_form_root(pp, 2, 4, 8, 9) == 3
-    with pytest.raises(RuntimeError):
-        _closed_form_root(pp, 2, 4, 7, 9)
-    # (17, 0) has m = 2 and a_2 = -34 = -2 * 17, so N_2 = 324 = (17 + 1)^2.
-    assert trace_term(17, 0, 2) == -34
-    assert _closed_form_root(as_prime_power(17), 0, 2, -34 % 9, 9) == 18
-    # (3, 3) has m = 6 and a_6 = -54 = -2 * 3^3, so N_6 = (27 + 1)^2.
-    assert trace_term(3, 3, 6) == -54
-    assert _closed_form_root(as_prime_power(3), 3, 6, -54 % 7, 7) == 28
+@pytest.mark.parametrize("q, a, n, u", [
+    # (2, 2) has m = 4 and a_4 = -8, so c = -4 and N_4 = (-4 - 1)^2.
+    (2, 2, 4, 5),
+    # (17, 0) has m = 2 and a_2 = -34, so c = -17 and N_2 = 324 = (17 + 1)^2.
+    (17, 0, 2, 18),
+    # (3, 3) has m = 6 and a_6 = -54, so c = -27 and N_6 = (27 + 1)^2.
+    (3, 3, 6, 28),
+])
+def test_cycle_square_is_c_to_the_k_minus_one(q, a, n, u):
+    """The scan and ``guaranteed_square`` take u = |c^k - 1| at n = km, with
+    c = a_m / 2 and c * c = q^m."""
+    assert trace_term(q, a, n) == -2 * math.isqrt(q ** n)
+    assert guaranteed_square(q, a, n).u == u
+    assert {h.n: h.u for h in square_hits_scan(q, a, n)}[n] == u
+
+
+def test_cycle_root_must_square_to_q_to_the_m(monkeypatch):
+    """A wrong a_m, odd or not +-2 sqrt(q^m), raises instead of giving a square."""
+    for wrong in (-7, -6, 10):
+        monkeypatch.setattr(sequence, "trace_term", lambda q, a, n, wrong=wrong: wrong)
+        with pytest.raises(RuntimeError):
+            guaranteed_square(2, 2, 4)
+        with pytest.raises(RuntimeError):
+            square_hits_scan(2, 2, 4)
 
 
 # For each stage-1 factor, the q < 50 sharing its prime, where q^n mod m dies
@@ -253,11 +261,10 @@ def test_stage_one_walk_proves_its_period():
         for q in [*shared, COPRIME_Q[mod]]:
             bound = hasse_bound(as_prime_power(q))
             for a in (-bound, 1):
-                mu, lam, excluded, a_ns = sequence._stage_one_walk(q, a, mod, squares, 1000)
+                mu, lam, excluded = sequence._stage_one_walk(q, a, mod, squares, 1000)
                 assert state(q, a, mu, mod) == state(q, a, mu + lam, mod), (q, a, mod)
                 if mu > 1:
                     assert state(q, a, mu - 1, mod) != state(q, a, mu - 1 + lam, mod)
-                assert a_ns == [trace_term(q, a, n) % mod for n in range(1, mu + lam)]
                 for n in range(1, mu + 2 * lam):
                     count = q ** n + 1 - trace_term(q, a, n)
                     assert (excluded >> n - 1) & 1 == (count % mod not in own_squares), (q, a, n)
