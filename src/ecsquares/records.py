@@ -5,13 +5,11 @@ not records.  A hit's values are those of ``RECORD_FIELDS``, in that order:
 its own fields, N and u as decimal strings, and the Waterhouse admissibility
 of (q, a).  N and u routinely exceed any fixed-width integer by thousands of
 bits, so the machine formats never truncate them.  A JSONL line is one JSON
-object with its keys in the fixed order: ``json.loads`` reads it back, and
-``json.dumps`` with the same separators gives the line again byte for byte.
+object with its keys in the fixed order, formatted directly: the bytes of
+``json.dumps`` with separators ``(", ", ": ")``, as the tests check.
 """
 
 from __future__ import annotations
-
-import json
 
 from .sequence import SquareHit
 from .traces import waterhouse_admissible
@@ -36,7 +34,11 @@ def _values(hit: SquareHit) -> tuple:
 
 
 def _json_line(values: tuple) -> str:
-    return json.dumps(dict(zip(RECORD_FIELDS, values)), separators=(", ", ": "))
+    # N, u and source are digit strings or fixed ASCII words: nothing to escape.
+    q, p, b, a, n, big_n, u, m, admissible, source = values
+    return (f'{{"q": {q}, "p": {p}, "b": {b}, "a": {a}, "n": {n}, "N": "{big_n}", "u": "{u}", '
+            f'"degenerate_m": {"null" if m is None else m}, '
+            f'"admissible": {"true" if admissible else "false"}, "source": "{source}"}}')
 
 
 def _csv_row(values: tuple) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .numeric import prime_power_decompose
-from .sequence import SquareHit, square_hits_scan, sporadic_list, trace_term
+from .sequence import SequenceTerm, SquareHit, sporadic_list, square_hits_scan, trace_sequence
 from .traces import (
     PrimePower,
     classify_degeneracy,
@@ -83,15 +83,22 @@ def search_pairs(config: SearchConfig) -> list[tuple[PrimePower, int]]:
 def run_search(config: SearchConfig) -> SearchReport:
     """Scan all selected pairs and re-verify every hit with ``verify_hit``.
 
-    Hits come in canonical (q, a, n) order without a sort: the pairs are in
-    (q, a) order and each scan yields ascending n.
+    A pair walks ``trace_sequence`` once, to its last hit, and hands each
+    hit its term; a hit out of order, repeated, or not a square raises
+    ``RuntimeError``.  Hits come in canonical (q, a, n) order without a
+    sort: the pairs are in (q, a) order and each scan yields ascending n.
     """
     start = time.perf_counter()
     pairs = search_pairs(config)
-    hits = [hit for pp, a in pairs for hit in square_hits_scan(pp, a, config.nmax)]
-    for hit in hits:
-        if not verify_hit(hit):
-            raise RuntimeError(f"hit failed re-verification: {hit}")
+    hits = []
+    for pp, a in pairs:
+        found = square_hits_scan(pp, a, config.nmax)
+        terms = trace_sequence(pp, a, found[-1].n) if found else ()
+        for hit in found:
+            term = next((t for t in terms if t.n >= hit.n), None)
+            if term is None or not verify_hit(hit, term):
+                raise RuntimeError(f"hit failed re-verification: {hit}")
+        hits += found
     return SearchReport(
         config=config,
         hits=hits,
@@ -100,15 +107,21 @@ def run_search(config: SearchConfig) -> SearchReport:
     )
 
 
-def verify_hit(hit: SquareHit) -> bool:
-    """Confirm u^2 = q^n + 1 - a_n, with a_n from Lucas doubling (``trace_term``).
+def verify_hit(hit: SquareHit, term: SequenceTerm | None = None) -> bool:
+    """Confirm u^2 = N_n = q^n + 1 - a_n, with N_n from the plain recurrence.
 
-    Doubling is independent of the recurrence loop that scans for hits, and
-    costs O(log n) multiplications per hit.  A hit with n < 1 is rejected.
+    ``term`` is the hit's ``trace_sequence`` term, from a walk its caller
+    shares across a pair's hits; without it, the recurrence is walked to n
+    here, O(n) steps.  The recurrence is independent of both the Lucas
+    doubling and the cycle-square closed form that the scan uses.  A hit
+    with n < 1, or a term at another n, is rejected.
     """
     if hit.n < 1:
         return False
-    return hit.u * hit.u == hit.q.q ** hit.n + 1 - trace_term(hit.q, hit.a, hit.n)
+    if term is None:
+        for term in trace_sequence(hit.q, hit.a, hit.n):
+            pass
+    return term.n == hit.n and hit.u * hit.u == term.N_n
 
 
 # -- published search table and its verified errata ---------------------------

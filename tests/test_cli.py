@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from ecsquares import SearchConfig, guaranteed_square, run_search, sporadic_list
 from ecsquares.cli import main
-from ecsquares.records import CSV_HEADER, RECORD_FIELDS
+from ecsquares.records import CSV_HEADER, RECORD_FIELDS, render_records
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +247,26 @@ def test_search_record_fields_round_trip(capsys):
         assert list(data.keys()) == ["q", "p", "b", "a", "n", "N", "u",
                                      "degenerate_m", "admissible", "source"]
         assert isinstance(data["N"], str) and isinstance(data["u"], str)
+
+
+def test_jsonl_writer_matches_json_dumps_on_every_branch():
+    # hasse screening keeps (27, 3, 1), which is not Waterhouse-admissible.
+    hits = run_search(SearchConfig(qmax=28, nmax=10, admissibility="hasse",
+                                   degeneracy="include")).hits
+    hits += [guaranteed_square(49, 14, 300), guaranteed_square(2, -2, 8)]
+    hits += sporadic_list()
+    records = []
+    for line in render_records(hits, "jsonl").splitlines():
+        data = json.loads(line)
+        assert json.dumps(data, separators=(", ", ": ")) == line
+        records.append(data)
+    assert len(records) == len(hits)
+    assert {r["degenerate_m"] is None for r in records} == {True, False}
+    assert {r["admissible"] for r in records} == {True, False}
+    assert {r["source"] for r in records} == {"scan", "guaranteed", "sporadic"}
+    assert min(r["a"] for r in records) < 0 < max(r["a"] for r in records)
+    assert any((r["q"], r["a"], r["n"], r["admissible"]) == (27, 3, 1, False)
+               for r in records)
 
 
 def test_search_table_format_truncates_large_counts(capsys):

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
 import pytest
+
+import ecsquares.search
 
 from ecsquares import (
     DomainError,
@@ -21,6 +24,7 @@ from ecsquares.search import (
     prime_powers_below,
     search_pairs,
 )
+from ecsquares.sequence import SequenceTerm, square_hits_scan, trace_sequence, trace_term
 
 
 def test_published_table_shape():
@@ -127,6 +131,61 @@ def test_verify_hit():
     q49 = PrimePower.from_q(49)
     assert verify_hit(SquareHit(q=q49, a=14, n=1000, u=s - 1, degenerate_m=1, source="guaranteed"))
     assert not verify_hit(SquareHit(q=q49, a=14, n=1000, u=s, degenerate_m=1, source="guaranteed"))
+
+
+def test_verify_hit_rejects_a_term_at_another_n():
+    pp = PrimePower.from_q(2)
+    hit = SquareHit(q=pp, a=-1, n=11, u=46, degenerate_m=None, source="scan")
+    term = list(trace_sequence(pp, -1, 11))[-1]
+    assert verify_hit(hit, term)
+    # Right count, wrong n: only the n check can reject it.
+    assert not verify_hit(hit, SequenceTerm(n=12, a_n=term.a_n, N_n=term.N_n))
+    assert not verify_hit(hit, list(trace_sequence(pp, -1, 12))[-1])
+
+
+# Nondegenerate and degenerate pairs, with m = 1, 2, 4 and 6.
+@pytest.mark.parametrize("q, a", [(2, -1), (7, -4), (49, 14), (17, 0), (2, 2), (3, 3)])
+def test_recurrence_verifier_agrees_with_doubling(q, a):
+    pp = PrimePower.from_q(q)
+    m = classify_degeneracy(pp, a)
+    for n in (1, 2, 7, 64, 999):
+        count = q ** n + 1 - trace_term(pp, a, n)
+        u = math.isqrt(count)
+        if m is not None and n % m == 0:
+            assert u * u == count
+        hit = SquareHit(q=pp, a=a, n=n, u=u, degenerate_m=m, source="scan")
+        assert verify_hit(hit) == (u * u == count)
+        assert not verify_hit(dataclasses.replace(hit, u=u + 1))
+
+
+def _wrong_u(hits, i):
+    hits[i] = dataclasses.replace(hits[i], u=hits[i].u + 1)
+
+
+def _swapped(hits, i):
+    hits[i], hits[i + 1] = hits[i + 1], hits[i]
+
+
+def _duplicated(hits, i):
+    hits.insert(i, hits[i])
+
+
+@pytest.mark.parametrize("corrupt, i", [
+    (_wrong_u, 10), (_wrong_u, -1), (_swapped, 10), (_swapped, -2),
+    (_duplicated, 10), (_duplicated, -1)])
+def test_shared_walk_rejects_corrupted_scan_output(monkeypatch, corrupt, i):
+    # (49, 14) has m = 1: every n is a hit, so the walk visits no other n.
+    def scan(pp, a, nmax):
+        hits = square_hits_scan(pp, a, nmax)
+        if (pp.q, a) == (49, 14):
+            corrupt(hits, i)
+        return hits
+
+    config = SearchConfig(qmax=50, nmax=20, degeneracy="only")
+    assert len(run_search(config).hits) > 0
+    monkeypatch.setattr(ecsquares.search, "square_hits_scan", scan)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        run_search(config)
 
 
 def _default_report_with(hits):
