@@ -18,7 +18,8 @@ from .curves import DEFAULT_COUNT_LIMIT, base_change_count, count_points_naive, 
 from .errors import DomainError, ResourceLimitError
 from .numeric import perfect_square_root
 from .records import render_records
-from .search import PaperCheckReport, SearchConfig, paper_check, run_search
+from .search import (ADMISSIBILITY_MODES, DEGENERACY_MODES, PaperCheckReport, SearchConfig,
+                     paper_check, run_search)
 from .traces import admissible_traces, as_prime_power, classify_degeneracy
 
 EXIT_OK = 0
@@ -37,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_file(path: str) -> TextIO:
     # Opened while parsing, so a bad --out path is a usage error before any
-    # search work.  "-" stays a file name, not stdout.
+    # search work; main closes it on every path out.  "-" stays a file name,
+    # not stdout.
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
@@ -50,11 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "counts over finite field extensions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("search", parents=[], help="scan all (q, a) pairs for square counts")
+    p = sub.add_parser("search", help="scan all (q, a) pairs for square counts")
     p.add_argument("--qmax", type=int, default=50)
     p.add_argument("--nmax", type=int, default=1000)
-    p.add_argument("--admissibility", choices=("waterhouse", "hasse"), default="waterhouse")
-    p.add_argument("--degenerate", choices=("exclude", "include", "only"), default="exclude")
+    p.add_argument("--admissibility", choices=ADMISSIBILITY_MODES, default="waterhouse")
+    p.add_argument("--degenerate", choices=DEGENERACY_MODES, default="exclude")
     p.add_argument("--format", dest="fmt", choices=("jsonl", "csv", "table"), default="jsonl")
     p.add_argument("--out", type=_out_file, default=None)
 
@@ -105,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
+        if getattr(args, "out", None) is not None:
+            args.out.close()
 
 
 def _dispatch(args) -> int:
@@ -129,19 +133,15 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _emit(text: str, out: TextIO | None) -> None:
-    sys.stdout.write(text)
-    if out is not None:
-        with out:
-            out.write(text)
-
-
 def _cmd_search(args) -> int:
     config = SearchConfig(qmax=args.qmax, nmax=args.nmax,
                           admissibility=args.admissibility,
                           degeneracy=args.degenerate)
     report = run_search(config)
-    _emit(render_records(report.hits, args.fmt), args.out)
+    text = render_records(report.hits, args.fmt)
+    sys.stdout.write(text)
+    if args.out is not None:
+        args.out.write(text)
     print(f"{len(report.hits)} hits from {report.pairs_scanned} (q, a) pairs "
           f"in {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK

@@ -1,7 +1,9 @@
 """Exact arbitrary-precision integer primitives.
 
 Everything here is pure integer arithmetic; no floating point is involved
-anywhere, so the results stay exact for operands of thousands of bits.
+anywhere, so the results stay exact for operands of thousands of bits.  The
+search's residue sieve, its moduli and their tables live in ``sequence``;
+``perfect_square_root`` only pre-filters by the residue modulo 64.
 """
 
 from __future__ import annotations
@@ -27,18 +29,19 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
+# Flags the 12 squares among the 64 residues modulo 64.
+_SQUARES_MOD_64 = {i * i % 64 for i in range(64)}
+_SQUARE_FLAGS_64 = bytes(r in _SQUARES_MOD_64 for r in range(64))
+
+
 def perfect_square_root(x: int) -> int | None:
     """The integer u >= 0 with u*u == x, or None when x is not a perfect square.
 
-    Pre-filtered by the first four sieve moduli, 64 * 63 * 65 * 11, after one
-    big divmod.
+    Pre-filtered by x & 63, which rejects 52 of the 64 residues before
+    ``math.isqrt`` runs.
     """
-    if x < 0:
+    if x < 0 or not _SQUARE_FLAGS_64[x & 63]:
         return None
-    r = x % FILTER_MODULUS
-    for m, table in FILTER_TABLES:
-        if not table[r % m]:
-            return None
     u = isqrt(x)
     return u if u * u == x else None
 
@@ -86,22 +89,3 @@ def _least_prime_factor(n: int) -> int:
                 f"to factor by trial division")
     return n
 
-
-# -- square-residue tables ----------------------------------------------------
-
-def _square_residue_table(m: int) -> bytes:
-    flags = bytearray(m)
-    for i in range(m):
-        flags[(i * i) % m] = 1
-    return bytes(flags)
-
-
-# Pairwise coprime sieve moduli: 64, 63, 65, 11 and the primes 17 to 199.  An
-# integer whose residue modulo any of them is flagged 0 is not a square.  Their
-# product has 279 bits.
-SIEVE_MODULI = (64, 63, 65, 11) + tuple(p for p in range(17, 200) if is_prime(p))
-SIEVE_TABLES = tuple((m, _square_residue_table(m)) for m in SIEVE_MODULI)
-# The first four moduli, whose product 2,882,880 fits in 22 bits, are both the
-# pre-filter of perfect_square_root and stage 1 of sequence.square_hits_scan.
-FILTER_TABLES = SIEVE_TABLES[:4]
-FILTER_MODULUS = math.prod(m for m, _ in FILTER_TABLES)

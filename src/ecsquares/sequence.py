@@ -8,16 +8,16 @@ never materialized: a_n satisfies the integer recurrence
 
 ``trace_sequence`` evaluates it exactly in arbitrary precision (a_1000 for
 q = 49 needs about 5615 bits), for listing terms.  ``square_hits_scan`` selects
-candidates with a two-stage residue sieve over the 44 sieve moduli, dropping
-an n only when N_n is a non-residue modulo one of them, which proves it is not
-a square.  Stage 1 walks the recurrence and q^n modulo each prime-power factor
-of 64 * 63 * 65 * 11 once, until the state repeats, and tiles what that period
-excludes: about 92% of n.  Stage 2 reaches each survivor from the previous one
-in a single jump modulo the 258-bit product of the other 40, with the Lucas
-U-sequence of (a, q), and tests N_n against those.  Each survivor of both is
-confirmed exactly, with a_n from Lucas doubling (``trace_term``) and the root
-from ``math.isqrt``, so a term of O(n) bits is built only for the few n that
-may be squares.
+candidates with a two-stage residue sieve whose moduli and square-flag tables
+are all listed here, dropping an n only when N_n is a non-residue modulo one of
+them, which proves it is not a square.  Stage 1 walks the recurrence and q^n
+modulo each of the prime powers 64, 9, 7, 5, 13 and 11 once, until the state
+repeats, and tiles what that period excludes: about 92% of n.  Stage 2 reaches
+each survivor from the previous one in a single jump modulo the 258-bit product
+of the 40 primes 17 to 199, with the Lucas U-sequence of (a, q), and tests N_n
+against those.  Each survivor of both is confirmed exactly, with a_n from
+Lucas doubling (``trace_term``) and the root from ``perfect_square_root``, so
+a term of O(n) bits is built only for the few n that may be squares.
 """
 
 from __future__ import annotations
@@ -28,15 +28,25 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 # ``isqrt`` is unused here: perfbench's tracer wraps it at this module's name.
-from .numeric import FILTER_TABLES, SIEVE_TABLES, isqrt, perfect_square_root
+from .numeric import is_prime, isqrt, perfect_square_root
 from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
 
-# square_hits_scan: FILTER_MODULUS's prime-power factors with their squares, n
-# per live-set window, and the other 40 sieve moduli with their 258-bit product.
-_WALK_SQUARES = tuple((m, {i * i % m for i in range(m)}) for m in (64, 9, 7, 5, 13, 11))
-_WINDOW = 1 << 16
-_JUMP_TABLES = SIEVE_TABLES[len(FILTER_TABLES):]
+
+def _square_flags(m: int) -> bytes:
+    """Byte r is 1 when r is a square modulo m, else 0."""
+    flags = bytearray(m)
+    for i in range(m):
+        flags[i * i % m] = 1
+    return bytes(flags)
+
+
+# square_hits_scan's sieve, pairwise coprime moduli with their square flags:
+# stage 1 walks the prime powers (product 2,882,880) and stage 2 jumps modulo
+# the primes 17 to 199 (a 258-bit product).  Then the n per live-set window.
+_WALK_TABLES = tuple((m, _square_flags(m)) for m in (64, 9, 7, 5, 13, 11))
+_JUMP_TABLES = tuple((m, _square_flags(m)) for m in range(17, 200) if is_prime(m))
 _JUMP_MODULUS = math.prod(m for m, _ in _JUMP_TABLES)
+_WINDOW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,11 +111,11 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
     """All n <= nmax where the point count over GF(q^n) is a perfect square.
 
-    Stage 1 walks (a_n, a_(n+1), q^n) modulo each prime-power factor of
-    ``FILTER_MODULUS`` = 64 * 63 * 65 * 11 to its first repeated state and
-    tiles the n where N_n is a non-residue there, ``_WINDOW`` n at a time.
-    Stage 2 jumps (a_k, a_(k+1), q^k) modulo the other 40 sieve moduli from
-    one survivor k to the next, n = k + g, by the Lucas U-sequence of (a, q):
+    Stage 1 walks (a_n, a_(n+1), q^n) modulo each prime power of
+    ``_WALK_TABLES`` to its first repeated state and tiles the n where N_n is
+    a non-residue there, ``_WINDOW`` n at a time.  Stage 2 jumps (a_k,
+    a_(k+1), q^k) modulo the primes of ``_JUMP_TABLES`` from one survivor k
+    to the next, n = k + g, by the Lucas U-sequence of (a, q):
     a_(k+g) = U_g * a_(k+1) - q * U_(g-1) * a_k, q^(k+g) = q^k * q^g.  U_j
     and q^j are listed up to the longest gap so far.  A survivor of both is a
     hit when ``perfect_square_root`` of the exact count (``trace_term``)
@@ -120,7 +130,7 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
     qv, mod2, width = pp.q, _JUMP_MODULUS, min(_WINDOW, nmax)
     hits = []
     c = None if m is None else _cycle_root(pp, a, m)
-    walks = [_stage_one_walk(qv, a, mod, squares, width) for mod, squares in _WALK_SQUARES]
+    walks = [_stage_one_walk(qv, a, mod, flags, width) for mod, flags in _WALK_TABLES]
     # Stage 2: a_k, a_(k+1), q^k at the last survivor k, U_j, q * U_j and q^j.
     k, a_k, a_k1, q_k = 0, 2, a, 1
     us, qus, q_pows = [0, 1], [0, qv], [1, qv]
@@ -158,7 +168,7 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
     return hits
 
 
-def _stage_one_walk(qv: int, a: int, m: int, squares: set[int],
+def _stage_one_walk(qv: int, a: int, m: int, flags: bytes,
                     width: int) -> tuple[int, int, int]:
     """(mu, lam, excluded) for (a_n, a_(n+1), q^n) mod m walked from n = 1.
 
@@ -169,7 +179,7 @@ def _stage_one_walk(qv: int, a: int, m: int, squares: set[int],
     seen, head, a_n, a_n1, q_n = {}, 0, a % m, (a * a - 2 * qv) % m, qv % m
     while (a_n, a_n1, q_n) not in seen:
         seen[a_n, a_n1, q_n] = n = len(seen) + 1
-        head |= ((q_n + 1 - a_n) % m not in squares) << n - 1
+        head |= (not flags[(q_n + 1 - a_n) % m]) << n - 1
         a_n, a_n1, q_n = a_n1, (a * a_n1 - qv * a_n) % m, q_n * qv % m
     mu = seen[a_n, a_n1, q_n]
     lam = len(seen) + 1 - mu

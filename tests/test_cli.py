@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -236,6 +238,17 @@ def test_search_out_bad_path_fails_before_searching(capsys, tmp_path, monkeypatc
     assert out == ""
     assert str(bad) in err and "No such file or directory" in err
     assert "Traceback" not in err
+
+
+def test_search_out_is_closed_when_the_search_fails(capsys, tmp_path):
+    out_file = tmp_path / "hits.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, err = run_cli(capsys, "search", "--qmax", "1", "--out", str(out_file))
+        gc.collect()
+    assert code == 2
+    assert out == "" and "qmax" in err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_search_record_fields_round_trip(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsquares import DomainError, isqrt, perfect_square_root, prime_power_decompose
+from ecsquares import DomainError, isqrt, numeric, perfect_square_root, prime_power_decompose
 from ecsquares.numeric import is_prime
 
 
@@ -50,6 +50,23 @@ def test_perfect_square_roundtrip(u):
     assert perfect_square_root(u * u) == u
     if u >= 1:
         assert perfect_square_root(u * u + 1) is None
+
+
+def test_square_flags_mod_64_are_the_squares():
+    flags = numeric._SQUARE_FLAGS_64
+    assert len(flags) == 64
+    assert {r for r in range(64) if flags[r]} == {i * i % 64 for i in range(64)}
+
+
+@pytest.mark.parametrize("bits", [1, 64, 1000, 3000])
+def test_perfect_square_root_around_squares(bits):
+    """Every x within 130 of u^2 covers all 64 residues mod 64, non-squares
+    with a square residue among them, and the pre-filter loses no square."""
+    u = random.Random(bits).getrandbits(bits) | 1 << bits - 1
+    for x in range(u * u - 130, u * u + 131):
+        root = math.isqrt(x) if x >= 0 else None
+        expected = root if root is not None and root * root == x else None
+        assert perfect_square_root(x) == expected, x
 
 
 def test_random_square_roundtrips_bulk():

@@ -19,7 +19,6 @@ from ecsquares import (
     trace_sequence,
     trace_term,
 )
-from ecsquares.numeric import FILTER_MODULUS, SIEVE_MODULI
 from ecsquares.search import prime_powers_below
 from ecsquares.traces import as_prime_power
 
@@ -118,15 +117,19 @@ def test_sieve_scan_matches_exact_scan(pair, nmax):
     assert all(h.source == "scan" and h.degenerate_m == m for h in hits)
 
 
-# Squares modulo each sieve modulus, listed here rather than read from the
-# sieve's own tables.
+# The sieve's moduli, read from the scan's own tables: stage 1 walks the
+# first six, stage 2 jumps modulo the other 40.  Their squares are listed here
+# rather than read from the tables' flags.
+WALK_MODULI = [m for m, _ in sequence._WALK_TABLES]
+JUMP_MODULI = [m for m, _ in sequence._JUMP_TABLES]
+SIEVE_MODULI = WALK_MODULI + JUMP_MODULI
 SQUARES_MOD = {m: {i * i % m for i in range(m)} for m in SIEVE_MODULI}
 
 
 # Nondegenerate pairs whose q is a prime among the 40 stage-2 moduli, so q^n is
 # 0 modulo that prime, with the longest gap between stage-1 survivors (n where
-# N_n is a square modulo 64, 63, 65 and 11) for n <= 2000; plus one pair per q
-# whose gaps are all short, and the degenerate (17, 0) with m = 2.
+# N_n is a square modulo 64, 9, 7, 5, 13 and 11) for n <= 2000; plus one pair
+# per q whose gaps are all short, and the degenerate (17, 0) with m = 2.
 LONG_GAP_PAIRS = {(17, 6): 252, (17, -1): 84, (127, 17): 252, (127, 10): 168,
                   (199, 14): 840, (199, 3): 420}
 SHORT_GAP_PAIRS = [(17, 4), (127, -12), (199, -24), (17, 0)]
@@ -147,12 +150,12 @@ class RecordingTable:
 def test_stage_two_jump_is_exact_for_long_gaps(monkeypatch):
     """Stage 2 sees exactly the stage-1 survivors, and its jump lands on N_n
     modulo M2 at each of them, across gaps of up to 840 terms."""
-    jump_modulus = math.prod(SIEVE_MODULI[4:])
+    jump_modulus = math.prod(JUMP_MODULI)
     assert jump_modulus.bit_length() == 258
     for (q, a), longest in LONG_GAP_PAIRS.items():
         assert classify_degeneracy(q, a) is None
         survivors = [t for t in trace_sequence(q, a, 2000)
-                     if all(t.N_n % m in SQUARES_MOD[m] for m in SIEVE_MODULI[:4])]
+                     if all(t.N_n % m in SQUARES_MOD[m] for m in WALK_MODULI)]
         ns = [0] + [t.n for t in survivors]
         assert max(hi - lo for lo, hi in zip(ns, ns[1:])) == longest, (q, a)
         table = RecordingTable()
@@ -169,8 +172,11 @@ def test_stage_two_jump_is_exact_for_long_gaps(monkeypatch):
 def test_every_excluded_n_has_a_residue_proof():
     """Each n <= 2000 the sieve drops has N_n, exact from Lucas doubling, a
     non-square modulo some sieve modulus; no modular stream is involved."""
-    assert len(SIEVE_MODULI) == 44
+    assert WALK_MODULI == [64, 9, 7, 5, 13, 11] and len(JUMP_MODULI) == 40
+    assert all(math.gcd(m, k) == 1 for m in SIEVE_MODULI for k in SIEVE_MODULI if m < k)
     assert math.prod(SIEVE_MODULI).bit_length() == 279
+    for m, flags in (*sequence._WALK_TABLES, *sequence._JUMP_TABLES):
+        assert {r for r in range(m) if flags[r]} == SQUARES_MOD[m] and len(flags) == m
     rng = random.Random(20261018)
     pairs = [(2, -1), (47, -1), (32, 5), (2, 0), (3, 3), (32, 8), (17, 6), (199, 14)]
     for pp in rng.sample(prime_powers_below(50), 8):
@@ -249,19 +255,18 @@ def test_stage_one_walk_proves_its_period():
     exact ``trace_term`` values agrees at n = mu and mu + lam and not at
     mu - 1 and mu - 1 + lam, and the excluded bits are the non-residues of the
     exact N_n over the pre-period and two periods."""
-    moduli = [mod for mod, _ in sequence._WALK_SQUARES]
-    assert moduli == list(SHARING_Q) and math.prod(moduli) == FILTER_MODULUS
+    assert WALK_MODULI == list(SHARING_Q)
 
     def state(q, a, n, mod):
         return trace_term(q, a, n) % mod, trace_term(q, a, n + 1) % mod, pow(q, n, mod)
 
     pre_periods = {}
-    for (mod, squares), shared in zip(sequence._WALK_SQUARES, SHARING_Q.values()):
+    for (mod, flags), shared in zip(sequence._WALK_TABLES, SHARING_Q.values()):
         own_squares = {i * i % mod for i in range(mod)}
         for q in [*shared, COPRIME_Q[mod]]:
             bound = hasse_bound(as_prime_power(q))
             for a in (-bound, 1):
-                mu, lam, excluded = sequence._stage_one_walk(q, a, mod, squares, 1000)
+                mu, lam, excluded = sequence._stage_one_walk(q, a, mod, flags, 1000)
                 assert state(q, a, mu, mod) == state(q, a, mu + lam, mod), (q, a, mod)
                 if mu > 1:
                     assert state(q, a, mu - 1, mod) != state(q, a, mu - 1 + lam, mod)
@@ -288,17 +293,18 @@ def test_scan_across_narrow_windows(monkeypatch, window):
 
 def test_survivors_across_three_windows_are_the_residue_proof_set(monkeypatch):
     """Over more than three windows, stage 2 is asked about exactly the n where
-    N_n is a square modulo 64, 63, 65 and 11, and lands on N_n mod M2 there;
-    a_n and q^n run here modulo those four by the plain per-n recurrence."""
+    N_n is a square modulo 64, 9, 7, 5, 13 and 11, and lands on N_n mod M2
+    there; a_n and q^n run here modulo their product by the plain per-n
+    recurrence."""
     nmax = 3 * sequence._WINDOW + 1234
-    filter_mod, jump_modulus = math.prod(SIEVE_MODULI[:4]), math.prod(SIEVE_MODULI[4:])
+    walk_modulus, jump_modulus = math.prod(WALK_MODULI), math.prod(JUMP_MODULI)
     for q, a in [(2, -1), (4, 3)]:
         survivors, prev, cur, q_n = [], 2, a, 1
         for n in range(1, nmax + 1):
-            q_n = q_n * q % filter_mod
-            if all((q_n + 1 - cur) % m in SQUARES_MOD[m] for m in SIEVE_MODULI[:4]):
+            q_n = q_n * q % walk_modulus
+            if all((q_n + 1 - cur) % m in SQUARES_MOD[m] for m in WALK_MODULI):
                 survivors.append(n)
-            prev, cur = cur, (a * cur - q * prev) % filter_mod
+            prev, cur = cur, (a * cur - q * prev) % walk_modulus
         table = RecordingTable()
         with monkeypatch.context() as patch:
             patch.setattr(sequence, "_JUMP_TABLES", ((jump_modulus, table),))
