@@ -36,14 +36,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _out_file(path: str) -> TextIO:
-    # Opened while parsing, so a bad --out path is a usage error before any
-    # search work; main closes it on every path out.  "-" stays a file name,
-    # not stdout.
+def _open_out(args) -> TextIO | None:
+    # Opened once the whole command line has parsed, so a later bad argument
+    # leaves no file behind, and before any search work, so a bad path is a
+    # usage error of the search command; main closes it on every path out.
+    # "-" stays a file name, not stdout.
+    path = getattr(args, "out", None)
+    if path is None:
+        return None
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise argparse.ArgumentTypeError(f"can't open '{path}': {exc.strerror}") from None
+        args.command_parser.error(f"argument --out: can't open '{path}': {exc.strerror}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admissibility", choices=ADMISSIBILITY_MODES, default="waterhouse")
     p.add_argument("--degenerate", choices=DEGENERACY_MODES, default="exclude")
     p.add_argument("--format", dest="fmt", choices=("jsonl", "csv", "table"), default="jsonl")
-    p.add_argument("--out", type=_out_file, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(command_parser=p)
 
     p = sub.add_parser("admissible", help="list admissible traces for one q")
     p.add_argument("--q", type=int, required=True)
@@ -91,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.out = _open_out(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     # Counts pass str()'s 4,300-digit guard (Python >= 3.10.7) from about
@@ -107,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
-        if getattr(args, "out", None) is not None:
+        if args.out is not None:
             args.out.close()
 
 

@@ -15,16 +15,24 @@ isomorphism class in each characteristic.  Per (a1, a2, a3, a4) it finds
 the x-side once, then counts each nonsingular a6:
 
 * p > 3:  y^2 = x^3 + A x + B              over (A, B) in lex order
-* p = 3:  y^2 = x^3 + a2 x^2 + a4 x + a6   over (a2, a4, a6) in lex order
+* p = 3:  y^2 = x^3 + a2 x^2 + a4 x + a6   over (a2, a4, a6) in lex order;
+          for a2 != 0 the curve is counted on its translate by
+          x -> x + a4 / a2, y^2 = x^3 + a2 x^2 + a6', so the q curves of
+          one (a2, a6') share one x-side and one count
 * p = 2:  y^2 + x y = x^3 + a2 x^2 + a6    (ordinary, (a2, a6) lex), then
           y^2 + a3 y = x^3 + a4 x + a6     (supersingular, (a3, a4, a6) lex)
 
 The short form is singular for every coefficient choice in characteristic 2,
-so the split families there are mandatory, not an optimization.
+so the split families there are mandatory, not an optimization.  A sweep
+costs about q^3 x-steps for p > 3 and for the ordinary family of p = 2
+(q^2 curves of q points each), about 2 q^3 for p = 3 (about 2 q^2 distinct
+counts, the q^3 curves being lookups), and q^4 for the supersingular family
+of p = 2 (q^3 curves); q = 64 takes about 5 s, q = 81 about 2 s.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -39,7 +47,7 @@ from .finitefield import (
 from .traces import PrimePower, _checked_q
 
 DEFAULT_COUNT_LIMIT = 1 << 16
-REALIZATION_Q_LIMIT = 128  # realize_trace sweeps about q^2 curves of q points each
+REALIZATION_Q_LIMIT = 128  # realize_trace's sweep costs up to about q^4 x-steps (module docstring)
 
 
 @dataclass(frozen=True)
@@ -194,53 +202,72 @@ def realize_trace(q: "int | PrimePower", a: int) -> WeierstrassCurve | None:
 
 
 def _realization_table(pp: PrimePower) -> dict[int, tuple]:
-    """trace -> first realizing curve, computed by one exhaustive family sweep."""
+    """trace -> first realizing curve, computed by one exhaustive family sweep.
+
+    A translated base is shared by the q curves of one a2 that differ in a4,
+    so its counter and every count it gives are memoized; an untranslated
+    family is counted once per a6, where a memo would only cost lookups.
+    """
     key = (pp.p, pp.b)
     table = _REALIZATION_CACHE.get(key)
     if table is None:
         ctx = make_field_context(pp.p, pp.b)
+
+        @functools.cache
+        def translated(base):
+            return functools.cache(_affine_counter(ctx, *base))
+
         table = {}
-        for prefix, a6_values in _families(ctx):
-            count = _affine_counter(ctx, *prefix)
-            for a6 in a6_values:
-                table.setdefault(ctx.q - count(a6), prefix + (a6,))
+        for prefix, base, a6_pairs in _families(ctx):
+            count = _affine_counter(ctx, *prefix) if base is None else translated(base)
+            for a6, base_a6 in a6_pairs:
+                table.setdefault(ctx.q - count(base_a6), prefix + (a6,))
         _REALIZATION_CACHE[key] = table
     return table
 
 
 def _families(ctx: FieldContext):
-    """Each (a1, a2, a3, a4) of the realization families, in order, with its
-    nonsingular a6 values in order.
+    """Each (a1, a2, a3, a4) of the realization families, in order, with the
+    base (a1, a2, a3, a4) it is counted on (None: itself) and its nonsingular
+    a6 values in order, each paired with the a6 at which to count the base.
+
+    For p = 3 and a2 != 0, x -> x + r with r = a4 / a2 (= -a4 / (2 a2))
+    clears the x term: (a2, a4, a6) becomes (a2, 0, a6 + s), with
+    s = r^3 + a2 r^2 + a4 r, and (x, y) -> (x - r, y) matches up the points.
+    So the base is (0, a2, 0, 0), and each curve is counted there at a6 + s.
 
     The discriminant reduces per family: 4A^3 + 27B^2 up to a unit for
-    p > 3, a2^2 a4^2 - a4^3 - a2^3 a6 for p = 3, a6 for the ordinary and
-    a3^4 for the supersingular family of p = 2 (each checked against the
-    generic formula in the test suite).  Ordinary traces are odd and
-    supersingular ones even, so the first-curve table never has to arbitrate
-    between the two families of p = 2.
+    p > 3; for p = 3, -a4^3 when a2 = 0 and -a2^3 (a6 + s) otherwise; a6
+    for the ordinary and a3^4 for the supersingular family of p = 2 (each
+    checked against the generic formula in the test suite).  Ordinary
+    traces are odd and supersingular ones even, so the first-curve table
+    never has to arbitrate between the two families of p = 2.
     """
     elems = ctx.element_tuples()
     zero, one = ctx.zero_t, ctx.one_t
-    add, sub, mul, smul = ctx.add_t, ctx.sub_t, ctx.mul_t, ctx.smul_t
+    add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
     if ctx.p > 3:
         b_terms = [smul(27, mul(b, b)) for b in elems]
         for a in elems:
             a_term = smul(4, mul(a, mul(a, a)))
-            yield (zero, zero, zero, a), [b for b, t in zip(elems, b_terms) if any(add(a_term, t))]
+            yield (zero, zero, zero, a), None, [(b, b) for b, t in zip(elems, b_terms)
+                                                if any(add(a_term, t))]
     elif ctx.p == 3:
-        for a2 in elems:
-            a2_sq = mul(a2, a2)
-            a6_terms = [mul(mul(a2_sq, a2), a6) for a6 in elems]
+        for a4 in elems[1:]:
+            yield (zero, zero, zero, a4), None, [(a6, a6) for a6 in elems]
+        for a2 in elems[1:]:
+            base = (zero, a2, zero, zero)
+            inv_a2 = ctx.inv_t(a2)
             for a4 in elems:
-                const = sub(mul(a2_sq, mul(a4, a4)), mul(a4, mul(a4, a4)))
-                yield (zero, a2, zero, a4), [a6 for a6, t in zip(elems, a6_terms)
-                                             if any(sub(const, t))]
+                r = mul(a4, inv_a2)
+                s = mul(add(mul(add(r, a2), r), a4), r)
+                yield (zero, a2, zero, a4), base, [(a6, t) for a6 in elems if any(t := add(a6, s))]
     else:
         for a2 in elems:
-            yield (one, a2, zero, zero), elems[1:]
+            yield (one, a2, zero, zero), None, [(a6, a6) for a6 in elems[1:]]
         for a3 in elems[1:]:
             for a4 in elems:
-                yield (zero, zero, a3, a4), elems
+                yield (zero, zero, a3, a4), None, [(a6, a6) for a6 in elems]
 
 
 def base_change_count(curve: WeierstrassCurve, n: int, *,

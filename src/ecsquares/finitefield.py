@@ -40,6 +40,9 @@ polynomial evaluator: for the point counts (the y-side histograms
 ``square_counter`` of y^2 and ``artin_schreier_counter`` of y^2 + y, and the
 x-side in the curves module), the modulus search (no root in any GF(p^d),
 d <= b/2, means irreducible) and embeddings (the small modulus's first root).
+A ``step`` restricts it to the positions 0, step, 2 step, ..., q - 1: with
+step (q - 1) / (q' - 1) those are exactly the q' elements of the subfield
+GF(q'), the only place an embedding's root can lie.
 """
 
 from __future__ import annotations
@@ -292,8 +295,9 @@ class FieldContext:
                 return u
         raise RuntimeError(f"invariant violation: {self!r} has no primitive element")
 
-    def poly_logs(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
-        """log f(x) at every x, for f given by coefficient tuples, highest degree first.
+    def poly_logs(self, coeffs: Sequence[tuple[int, ...]], step: int = 1) -> list[int]:
+        """log f(x) at positions 0, step, 2 step, ..., q - 1, for f given by
+        coefficient tuples, highest degree first; step must divide q - 1.
 
         Position k < q - 1 holds x = g^k and position q - 1 holds x = 0; a
         zero value reads q - 1.  This is Horner's rule in the log domain:
@@ -302,13 +306,14 @@ class FieldContext:
         """
         _, log, zech = self.log_tables()
         m = self.q - 1
-        logs = [log[self.index_of(coeffs[0])]] * self.q
+        positions = range(0, self.q, step)
+        logs = [log[self.index_of(coeffs[0])]] * len(positions)
         for coeff in coeffs[1:]:
             # Times x (zero if u or x is), then plus g^c: nothing at c = m, else a Zech step.
             c = log[self.index_of(coeff)]
             logs = [c if u == m or k == m else (u + k) % m if c == m
                     else m if (w := zech[(u + k - c) % m]) == m else (c + w) % m
-                    for k, u in enumerate(logs)]
+                    for k, u in zip(positions, logs)]
         return logs
 
     def _value_counts(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
@@ -466,8 +471,10 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
 
     The image of the small field's generator is the first element, in
     enumeration order of the big field, that is a root of the small modulus.
-    ``poly_logs`` evaluates the modulus at every big-field element at once;
-    being irreducible of degree dividing B, it has all its roots there.
+    Being irreducible of degree b, the modulus splits in GF(p^b), so all its
+    roots lie in the copy of GF(p^b) inside GF(p^B): 0 and the powers g^(dj)
+    with d = (p^B - 1) / (p^b - 1).  ``poly_logs`` with step d evaluates the
+    modulus at just those p^b elements.
     """
     if small.p != big.p:
         raise DomainError(
@@ -477,8 +484,9 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
             f"cannot embed {small!r} into {big!r}: {small.b} does not divide {big.b}")
     exp, _, _ = big.log_tables()
     m = big.q - 1
-    values = big.poly_logs([big.smul_t(c, big.one_t) for c in reversed(small.modulus)])
-    roots = [0 if k == m else exp[k] for k, v in enumerate(values) if v == m]
+    d = m // (small.q - 1)
+    values = big.poly_logs([big.smul_t(c, big.one_t) for c in reversed(small.modulus)], d)
+    roots = [0 if k == m else exp[k] for k, v in zip(range(0, big.q, d), values) if v == m]
     if not roots:
         raise RuntimeError(
             f"invariant violation: {small!r} modulus has no root in {big!r}")

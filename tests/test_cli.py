@@ -251,6 +251,18 @@ def test_search_out_is_closed_when_the_search_fails(capsys, tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_search_out_is_not_created_when_a_later_argument_fails(capsys, tmp_path):
+    out_file = tmp_path / "hits.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, err = run_cli(capsys, "search", "--out", str(out_file), "--nmax", "abc")
+        gc.collect()
+    assert code == 1
+    assert out == "" and "--nmax" in err
+    assert not out_file.exists()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_search_record_fields_round_trip(capsys):
     code, out, _ = run_cli(capsys, "search", "--qmax", "6", "--nmax", "20")
     assert code == 0

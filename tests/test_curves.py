@@ -17,9 +17,9 @@ from ecsquares import (
     short_weierstrass,
     trace_sequence,
 )
-from ecsquares.curves import _count_curve, _discriminant_t
+from ecsquares.curves import _count_curve, _discriminant_t, _families
 from ecsquares.search import prime_powers_below
-from ecsquares.traces import hasse_bound
+from ecsquares.traces import as_prime_power, hasse_bound
 
 from reference_oracles import reference_count
 
@@ -67,7 +67,9 @@ def test_short_form_is_always_singular_in_char2():
 
 @pytest.mark.parametrize("p,b", [(3, 1), (3, 2)])
 def test_char3_family_discriminant_shortcut_matches_generic(p, b):
-    # the sweep uses a2^2 a4^2 - a4^3 - a2^3 a6; confirm against the generic form
+    # a2^2 a4^2 - a4^3 - a2^3 a6 is the discriminant of the p = 3 family; the
+    # sweep reads its a4 = 0 case, -a2^3 a6, on translated curves (test
+    # below) and its a2 = 0 case, -a4^3, directly.  Confirm the generic form.
     ctx = make_field_context(p, b)
     mul, sub = ctx.mul_t, ctx.sub_t
     for a2 in ctx.element_tuples():
@@ -78,6 +80,29 @@ def test_char3_family_discriminant_shortcut_matches_generic(p, b):
                     sub(mul(mul(a2, a2), mul(a4, a4)), mul(a4, mul(a4, a4))),
                     mul(mul(a2, mul(a2, a2)), a6))
                 assert shortcut == _discriminant_t(ctx, quint)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_char3_sweep_counts_each_curve_on_its_translate(b):
+    # For a2 != 0, x -> x + r with r = a4 / a2 turns (a2, a4, a6) into
+    # (a2, 0, a6 + s), s = r^3 + a2 r^2 + a4 r: the realization sweep counts
+    # every such curve there and keeps it iff a6 + s != 0.  Check each curve
+    # it yields against its own count and the generic discriminant.
+    ctx = make_field_context(3, b)
+    zero, elems = ctx.zero_t, ctx.element_tuples()
+    prefixes = []
+    for prefix, base, a6_pairs in _families(ctx):
+        prefixes.append(prefix)
+        assert [a6 for a6, _ in a6_pairs] == [
+            a6 for a6 in elems if any(_discriminant_t(ctx, prefix + (a6,)))], prefix
+        if base is None:
+            assert not any(prefix[1]) and all(a6 == at for a6, at in a6_pairs), prefix
+            continue
+        assert base == (zero, prefix[1], zero, zero)
+        for a6, base_a6 in a6_pairs:
+            assert _count_curve(ctx, prefix + (a6,)) == _count_curve(ctx, base + (base_a6,))
+    assert prefixes == [(zero, a2, zero, a4) for a2 in elems for a4 in elems
+                        if any(a2) or any(a4)]
 
 
 def test_char2_family_discriminant_shortcuts_match_generic():
@@ -155,15 +180,36 @@ def test_realize_first_match_is_lexicographic():
 REALIZATIONS_SHA256 = "2490370d4a42148d9bac9eff0ba54dea0b7f0e9ec34c6460830e4ecf98fd3254"
 
 
-def test_realizations_are_pinned():
+def _realization_lines(pps):
     lines = []
-    for pp in prime_powers_below(50):
+    for pp in pps:
         bound = hasse_bound(pp)
         for a in range(-bound, bound + 1):
             curve = realize_trace(pp, a)
             lines.append(f"{pp.q} {a} {'none' if curve is None else curve}")
+    return lines
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_realizations_are_pinned():
+    lines = _realization_lines(prime_powers_below(50))
     assert len(lines) == 405
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REALIZATIONS_SHA256
+    assert _sha256(lines) == REALIZATIONS_SHA256
+
+
+# The same lines for q = 81, pinned from the sweep that counted every
+# (a2, a4, a6) of characteristic 3 on its own, before the translation.
+REALIZATIONS_81_SHA256 = "ba2cd69527ccdcf928952a14a47c2ec1edb430418a5687185e59cd0918bd5e29"
+
+
+def test_realizations_are_pinned_for_q81():
+    lines = _realization_lines([as_prime_power(81)])
+    assert len(lines) == 37
+    assert sum(line.endswith(" none") for line in lines) == 8
+    assert _sha256(lines) == REALIZATIONS_81_SHA256
 
 
 def test_realize_inadmissible_is_none():

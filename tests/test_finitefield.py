@@ -349,6 +349,19 @@ def test_poly_logs_matches_schoolbook_horner(small_contexts):
                 assert ctx.poly_logs(coeffs) == expected, (ctx, coeffs)
 
 
+def test_poly_logs_step_reads_every_step_th_position(small_contexts):
+    rng = random.Random(29)
+    for ctx in _table_contexts(small_contexts):
+        tuples = ctx.element_tuples()
+        m = ctx.q - 1
+        for degree in range(4):
+            coeffs = [rng.choice(tuples) for _ in range(degree + 1)]
+            full = ctx.poly_logs(coeffs)
+            for step in (d for d in range(1, m + 1) if m % d == 0):
+                # full[::step] ends at position q - 1, x = 0, since step divides it
+                assert ctx.poly_logs(coeffs, step) == full[::step], (ctx, coeffs, step)
+
+
 def test_index_of_is_enumeration_position():
     ctx = make_field_context(3, 3)
     assert [ctx.index_of(t) for t in ctx.element_tuples()] == list(range(ctx.q))
