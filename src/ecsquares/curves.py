@@ -190,7 +190,7 @@ def realize_trace(q: "int | PrimePower", a: int) -> WeierstrassCurve | None:
     pp = _checked_q(q, a)
     if pp.q > REALIZATION_Q_LIMIT:
         raise ResourceLimitError(
-            f"realizing a trace over GF({pp.q}) sweeps about q^2 curves; "
+            f"realizing a trace over GF({pp.q}) is refused: "
             f"the realization guard is q <= {REALIZATION_Q_LIMIT}")
     table = _realization_table(pp)
     quint = table.get(a)

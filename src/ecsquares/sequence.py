@@ -7,17 +7,16 @@ never materialized: a_n satisfies the integer recurrence
     a_0 = 2,  a_1 = a,  a_n = a * a_(n-1) - q * a_(n-2),
 
 ``trace_sequence`` evaluates it exactly in arbitrary precision (a_1000 for
-q = 49 needs about 5615 bits), for listing terms.  ``square_hits_scan`` selects
-candidates with a two-stage residue sieve whose moduli and square-flag tables
-are all listed here, dropping an n only when N_n is a non-residue modulo one of
-them, which proves it is not a square.  Stage 1 walks the recurrence and q^n
-modulo each of the prime powers 64, 9, 7, 5, 13 and 11 once, until the state
-repeats, and tiles what that period excludes: about 92% of n.  Stage 2 reaches
-each survivor from the previous one in a single jump modulo the 258-bit product
-of the 40 primes 17 to 199, with the Lucas U-sequence of (a, q), and tests N_n
-against those.  Each survivor of both is confirmed exactly, with a_n from
-Lucas doubling (``trace_term``) and the root from ``perfect_square_root``, so
-a term of O(n) bits is built only for the few n that may be squares.
+q = 49 needs about 5615 bits), for listing terms, and ``trace_term`` by
+doubling, exactly or modulo m.  ``square_hits_scan`` drops an n only when
+N_n is a non-residue modulo one of the sieve moduli listed here, which proves
+it is not a square.  Stage 1 walks (a_n, a_(n+1), q^n) modulo each walked
+modulus until the state repeats and tiles what one period excludes: always
+the prime powers 64, 9, 7, 5, 13 and 11, and per pair the primes l in 17..199
+with both eigenvalues in GF(l) while many n survive.  Stage 2 reaches each
+survivor by doubling modulo the other primes' product.  Survivors of both are
+confirmed exactly, so a term of O(n) bits is built only for the few n that
+may be squares.
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ def _square_flags(m: int) -> bytes:
 
 
 # square_hits_scan's sieve, pairwise coprime moduli with their square flags:
-# stage 1 walks the prime powers (product 2,882,880) and stage 2 jumps modulo
-# the primes 17 to 199 (a 258-bit product).  Then the n per live-set window.
+# the prime powers (product 2,882,880), always walked, and the primes 17 to
+# 199, walked or left to stage 2 by ``_stage_one``.  Then K and the window.
 _WALK_TABLES = tuple((m, _square_flags(m)) for m in (64, 9, 7, 5, 13, 11))
 _JUMP_TABLES = tuple((m, _square_flags(m)) for m in range(17, 200) if is_prime(m))
-_JUMP_MODULUS = math.prod(m for m, _ in _JUMP_TABLES)
+_WALK_BUDGET = 8
 _WINDOW = 1 << 16
 
 
@@ -90,8 +89,8 @@ def trace_sequence(q: "int | PrimePower", a: int, nmax: int) -> Iterator[Sequenc
         prev, cur = cur, a * cur - qv * prev
 
 
-def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
-    """a_n alone, by Lucas doubling: O(log n) multiplications, no recurrence loop.
+def trace_term(q: "int | PrimePower", a: int, n: int, mod: int = 0) -> int:
+    """a_n alone by Lucas doubling, reduced modulo mod when mod is nonzero.
 
     Walks the bits of n from the top, keeping (a_k, a_(k+1), q^k) and using
     a_2k = a_k^2 - 2q^k and a_(2k+1) = a_k * a_(k+1) - a * q^k.
@@ -105,38 +104,32 @@ def trace_term(q: "int | PrimePower", a: int, n: int) -> int:
             v, w, q_k = v * w - a * q_k, w * w - 2 * q_k * qv, q_k * q_k * qv
         else:
             v, w, q_k = v * v - 2 * q_k, v * w - a * q_k, q_k * q_k
+        if mod:
+            v, w, q_k = v % mod, w % mod, q_k % mod
     return v
 
 
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
     """All n <= nmax where the point count over GF(q^n) is a perfect square.
 
-    Stage 1 walks (a_n, a_(n+1), q^n) modulo each prime power of
-    ``_WALK_TABLES`` to its first repeated state and tiles the n where N_n is
-    a non-residue there, ``_WINDOW`` n at a time.  Stage 2 jumps (a_k,
-    a_(k+1), q^k) modulo the primes of ``_JUMP_TABLES`` from one survivor k
-    to the next, n = k + g, by the Lucas U-sequence of (a, q):
-    a_(k+g) = U_g * a_(k+1) - q * U_(g-1) * a_k, q^(k+g) = q^k * q^g.  U_j
-    and q^j are listed up to the longest gap so far.  A survivor of both is a
-    hit when ``perfect_square_root`` of the exact count (``trace_term``)
-    succeeds.  For a degenerate pair of order m and n = km the count is
-    (c^k - 1)^2 with c = a_m / 2, as in ``guaranteed_square``, a square stage
-    1 always keeps.
+    Stage 1 (``_stage_one``) excludes n ``_WINDOW`` at a time.  Stage 2 takes
+    N_n modulo the unwalked jump primes' product at each survivor, by
+    doubling, and tests it against each; a survivor of both is a hit when
+    ``perfect_square_root`` of the exact count succeeds.  For a degenerate
+    pair of order m and n = km the count is (c^k - 1)^2 with c = a_m / 2, as
+    in ``guaranteed_square``, a square stage 1 always keeps.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
-    qv, mod2, width = pp.q, _JUMP_MODULUS, min(_WINDOW, nmax)
-    hits = []
+    qv, width = pp.q, min(_WINDOW, nmax)
     c = None if m is None else _cycle_root(pp, a, m)
-    walks = [_stage_one_walk(qv, a, mod, flags, width) for mod, flags in _WALK_TABLES]
-    # Stage 2: a_k, a_(k+1), q^k at the last survivor k, U_j, q * U_j and q^j.
-    k, a_k, a_k1, q_k = 0, 2, a, 1
-    us, qus, q_pows = [0, 1], [0, qv], [1, qv]
+    walks, jumps = _stage_one(qv, a, m, nmax, width)
+    mod2, hits = math.prod(ell for ell, _ in jumps), []
     for lo in range(1, nmax + 1, width):
         excluded = 0
-        for mu, lam, tiled in walks:
+        for _, mu, lam, tiled in walks:
             # From bit n - 1 for the walked n with lo's state: lo, or its place in the period.
             excluded |= tiled >> (lo - 1 if lo < mu else mu - 1 + (lo - mu) % lam)
         live = bin(~excluded & (1 << min(width, nmax + 1 - lo)) - 1)[:1:-1]
@@ -147,20 +140,8 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
             if m is not None and n % m == 0:
                 u = abs(c ** (n // m) - 1)
             else:
-                g, k = n - k, n
-                while len(us) <= g + 1:
-                    u_j = (a * us[-1] - qus[-2]) % mod2
-                    us.append(u_j)
-                    qus.append(qv * u_j % mod2)
-                    q_pows.append(q_pows[-1] * qv % mod2)
-                a_k, a_k1 = ((us[g] * a_k1 - qus[g - 1] * a_k) % mod2,
-                             (us[g + 1] * a_k1 - qus[g] * a_k) % mod2)
-                q_k = q_k * q_pows[g] % mod2
-                x = q_k + 1 - a_k
-                for sieve_m, table in _JUMP_TABLES:
-                    if not table[x % sieve_m]:
-                        break
-                else:
+                x = pow(qv, n, mod2) + 1 - trace_term(pp, a, n, mod2)
+                if all(table[x % ell] for ell, table in jumps):
                     u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
             if u is not None:
                 hits.append(SquareHit(q=pp, a=a, n=n, u=u,
@@ -168,21 +149,61 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
     return hits
 
 
-def _stage_one_walk(qv: int, a: int, m: int, flags: bytes,
-                    width: int) -> tuple[int, int, int]:
-    """(mu, lam, excluded) for (a_n, a_(n+1), q^n) mod m walked from n = 1.
+def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[list, list]:
+    """The pair's walks, (modulus, mu, lam, excluded), and its jump tables.
 
-    n = mu + lam is the first n whose state repeats, that of mu.  Bit n - 1 of
-    excluded flags N_n a non-residue mod m, tiled with doubling shifts to past
-    n = mu + lam + width.
+    After the prime powers, each jump prime l in turn is walked when l does
+    not divide q, D = a^2 - 4q is a square or 0 mod l (both eigenvalues in
+    GF(l), period dividing l - 1) and l - 1 <= _WALK_BUDGET * S, for S the
+    first window's live n less the cycle squares, scaled to nmax.  A walk
+    that does not return within l - 1 steps leaves l a jump prime.
     """
-    seen, head, a_n, a_n1, q_n = {}, 0, a % m, (a * a - 2 * qv) % m, qv % m
-    while (a_n, a_n1, q_n) not in seen:
-        seen[a_n, a_n1, q_n] = n = len(seen) + 1
-        head |= (not flags[(q_n + 1 - a_n) % m]) << n - 1
+    walks = [(mod, *_stage_one_walk(qv, a, mod, flags, width)) for mod, flags in _WALK_TABLES]
+    # The first window's n no walk excludes, and those a cycle root settles.
+    live, settled = (1 << width) - 1, width // m if m else 0
+    for *_, excluded in walks:
+        live &= ~excluded
+    jumps, disc = [], a * a - 4 * qv
+    for i, (ell, flags) in enumerate(_JUMP_TABLES):
+        if (ell - 1) * width > _WALK_BUDGET * (live.bit_count() - settled) * nmax:
+            # S only falls and l only grows, so no later prime is walked either.
+            return walks, jumps + list(_JUMP_TABLES[i:])
+        eigenvalues_in_gf_ell = qv % ell and flags[disc % ell]
+        walk = eigenvalues_in_gf_ell and _stage_one_walk(qv, a, ell, flags, width, ell - 1)
+        if walk:
+            walks.append((ell, *walk))
+            live &= ~walk[2]
+        else:
+            jumps.append((ell, flags))
+    return walks, jumps
+
+
+def _stage_one_walk(qv: int, a: int, m: int, flags: bytes, width: int,
+                    limit: int | None = None) -> tuple[int, int, int] | None:
+    """(mu, lam, excluded) for (a_n, a_(n+1), q^n) mod m walked from n = 1,
+    or None when no state repeats within limit steps.
+
+    n = mu + lam is the first n whose state repeats, that of mu.  When q is a
+    unit mod m the step is invertible, so only the state at n = 1 is compared.
+    Bit n - 1 of excluded flags N_n a non-residue mod m, tiled with doubling
+    shifts to past n = mu + lam + width.
+    """
+    start = a_n, a_n1, q_n = a0, a1, q0 = a % m, (a * a - 2 * qv) % m, qv % m
+    seen, keep, head, n = {start: 1}, math.gcd(qv, m) > 1, 0, 0
+    while True:
+        head |= (not flags[(q_n + 1 - a_n) % m]) << n
+        n += 1
         a_n, a_n1, q_n = a_n1, (a * a_n1 - qv * a_n) % m, q_n * qv % m
+        if keep:
+            if (a_n, a_n1, q_n) in seen:
+                break
+            seen[a_n, a_n1, q_n] = n + 1
+        elif q_n == q0 and a_n == a0 and a_n1 == a1:
+            break
+        if n == limit:
+            return None
     mu = seen[a_n, a_n1, q_n]
-    lam = len(seen) + 1 - mu
+    lam = n + 1 - mu
     tiled, length = head >> mu - 1, lam
     while length < width + lam:
         tiled, length = tiled | tiled << length, 2 * length

@@ -241,6 +241,15 @@ def test_realize_guard_refuses_large_fields_before_building(monkeypatch):
         realize_trace(131, 23)
 
 
+def test_realize_refusal_names_the_guard_and_no_cost():
+    """The refusal claims no sweep size: that differs by characteristic (about
+    q^2 curves for p > 3, q^3 for the supersingular family of p = 2)."""
+    with pytest.raises(ResourceLimitError) as refusal:
+        realize_trace(256, 0)
+    assert str(refusal.value) == (
+        "realizing a trace over GF(256) is refused: the realization guard is q <= 128")
+
+
 def test_realized_counts_have_the_requested_trace():
     for q in (2, 3, 4, 5, 8, 9):
         for a in range(-3, 4):

@@ -90,6 +90,7 @@ def test_trace_term_matches_recurrence(pair, n):
     q, a = pair
     *_, last = trace_sequence(q, a, n)
     assert trace_term(q, a, n) == last.a_n
+    assert trace_term(q, a, n, 199 * 197) == last.a_n % (199 * 197)
 
 
 def exact_scan(q, a, nmax):
@@ -118,55 +119,92 @@ def test_sieve_scan_matches_exact_scan(pair, nmax):
 
 
 # The sieve's moduli, read from the scan's own tables: stage 1 walks the
-# first six, stage 2 jumps modulo the other 40.  Their squares are listed here
-# rather than read from the tables' flags.
+# first six for every pair and, per pair, some of the other 40; stage 2 tests
+# the rest.  Their squares are listed here rather than read from the tables'
+# flags.
 WALK_MODULI = [m for m, _ in sequence._WALK_TABLES]
 JUMP_MODULI = [m for m, _ in sequence._JUMP_TABLES]
 SIEVE_MODULI = WALK_MODULI + JUMP_MODULI
 SQUARES_MOD = {m: {i * i % m for i in range(m)} for m in SIEVE_MODULI}
 
 
-# Nondegenerate pairs whose q is a prime among the 40 stage-2 moduli, so q^n is
-# 0 modulo that prime, with the longest gap between stage-1 survivors (n where
-# N_n is a square modulo 64, 9, 7, 5, 13 and 11) for n <= 2000; plus one pair
-# per q whose gaps are all short, and the degenerate (17, 0) with m = 2.
-LONG_GAP_PAIRS = {(17, 6): 252, (17, -1): 84, (127, 17): 252, (127, 10): 168,
-                  (199, 14): 840, (199, 3): 420}
-SHORT_GAP_PAIRS = [(17, 4), (127, -12), (199, -24), (17, 0)]
+def sieve_plan(q, a, nmax):
+    """The engine's walks for the pair, (modulus, mu, lam, excluded), and the
+    jump primes it leaves to stage 2."""
+    walks, jumps = sequence._stage_one(q, a, classify_degeneracy(q, a), nmax,
+                                       min(sequence._WINDOW, nmax))
+    return walks, [ell for ell, _ in jumps]
 
 
 class RecordingTable:
-    """Stands in for the stage-2 residue tables: records each N_n mod M2 it is
-    asked about and accepts none."""
+    """Stands in for an unwalked prime's square flags: logs each residue stage
+    2 looks up, then answers as the real table does."""
 
-    def __init__(self):
-        self.residues = []
+    def __init__(self, ell, flags, log):
+        self.ell, self.flags, self.log = ell, flags, log
 
     def __getitem__(self, residue):
-        self.residues.append(residue)
-        return 0
+        self.log.append((self.ell, residue))
+        return self.flags[residue]
+
+
+def stage_two_lookups(monkeypatch, q, a, nmax):
+    """The scan's hits, and each (l, residue) stage 2 looks up, in order."""
+    log, stage_one = [], sequence._stage_one
+
+    def recording_stage_one(*args):
+        walks, jumps = stage_one(*args)
+        return walks, [(ell, RecordingTable(ell, flags, log)) for ell, flags in jumps]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequence, "_stage_one", recording_stage_one)
+        hits = square_hits_scan(q, a, nmax)
+    return hits, log
+
+
+def expected_lookups(counts, unwalked):
+    """N_n mod each unwalked prime in turn, up to the first non-residue, for
+    each (exact or reduced) count N_n."""
+    log = []
+    for count in counts:
+        for ell in unwalked:
+            log.append((ell, count % ell))
+            if count % ell not in SQUARES_MOD[ell]:
+                break
+    return log
+
+
+# Nondegenerate pairs whose q is a prime among the 40 jump primes, so q^n is 0
+# modulo that prime and it is never walked, with survivors up to 840 terms
+# apart for n <= 2000; plus one pair per q with shorter gaps, and the
+# degenerate (17, 0) with m = 2.
+LONG_GAP_PAIRS = [(17, 6), (17, -1), (127, 17), (127, 10), (199, 14), (199, 3)]
+SHORT_GAP_PAIRS = [(17, 4), (127, -12), (199, -24), (17, 0)]
 
 
 def test_stage_two_jump_is_exact_for_long_gaps(monkeypatch):
-    """Stage 2 sees exactly the stage-1 survivors, and its jump lands on N_n
-    modulo M2 at each of them, across gaps of up to 840 terms."""
-    jump_modulus = math.prod(JUMP_MODULI)
-    assert jump_modulus.bit_length() == 258
-    for (q, a), longest in LONG_GAP_PAIRS.items():
-        assert classify_degeneracy(q, a) is None
-        survivors = [t for t in trace_sequence(q, a, 2000)
-                     if all(t.N_n % m in SQUARES_MOD[m] for m in WALK_MODULI)]
-        ns = [0] + [t.n for t in survivors]
-        assert max(hi - lo for lo, hi in zip(ns, ns[1:])) == longest, (q, a)
-        table = RecordingTable()
-        with monkeypatch.context() as patch:
-            patch.setattr(sequence, "_JUMP_TABLES", ((jump_modulus, table),))
-            assert square_hits_scan(q, a, 2000) == []
-        assert table.residues == [t.N_n % jump_modulus for t in survivors], (q, a)
-    assert classify_degeneracy(17, 0) == 2
+    """Stage 2 is asked about exactly the n that no walked modulus excludes
+    (less the cycle squares of a degenerate pair), and its doubling modulo the
+    unwalked primes' product lands on N_n: each prime's table sees N_n mod l,
+    in turn, up to the first non-residue.  No state is carried from one
+    survivor to the next, so a gap of 840 terms costs one doubling."""
+    gaps = []
     for q, a in [*LONG_GAP_PAIRS, *SHORT_GAP_PAIRS]:
-        hits = square_hits_scan(q, a, 2000)
+        m = classify_degeneracy(q, a)
+        assert (m is None) == ((q, a) != (17, 0))
+        walks, unwalked = sieve_plan(q, a, 2000)
+        walked = [w[0] for w in walks]
+        assert walked[:6] == WALK_MODULI and q in unwalked and q not in walked
+        assert sorted(walked[6:] + unwalked) == JUMP_MODULI
+        survivors = [t for t in trace_sequence(q, a, 2000)
+                     if (m is None or t.n % m)
+                     and all(t.N_n % w in SQUARES_MOD[w] for w in walked)]
+        hits, log = stage_two_lookups(monkeypatch, q, a, 2000)
+        assert log == expected_lookups([t.N_n for t in survivors], unwalked), (q, a)
         assert [(h.n, h.u) for h in hits] == exact_scan(q, a, 2000), (q, a)
+        ns = [0] + [t.n for t in survivors]
+        gaps += [hi - lo for lo, hi in zip(ns, ns[1:])]
+    assert max(gaps) >= 700
 
 
 def test_every_excluded_n_has_a_residue_proof():
@@ -293,33 +331,81 @@ def test_scan_across_narrow_windows(monkeypatch, window):
 
 def test_survivors_across_three_windows_are_the_residue_proof_set(monkeypatch):
     """Over more than three windows, stage 2 is asked about exactly the n where
-    N_n is a square modulo 64, 9, 7, 5, 13 and 11, and lands on N_n mod M2
-    there; a_n and q^n run here modulo their product by the plain per-n
-    recurrence."""
+    N_n is a square modulo every walked modulus, split primes included, and
+    its tables see N_n mod each unwalked prime there; a_n and q^n run here
+    modulo the walked moduli's product by the plain per-n recurrence, and the
+    stage-2 residues come from exact ``trace_term``."""
     nmax = 3 * sequence._WINDOW + 1234
-    walk_modulus, jump_modulus = math.prod(WALK_MODULI), math.prod(JUMP_MODULI)
-    for q, a in [(2, -1), (4, 3)]:
+    last = []
+    for q, a in [(2, -1), (7, -1)]:
+        walks, unwalked = sieve_plan(q, a, nmax)
+        walked = [w[0] for w in walks]
+        assert len(walked) > 12
+        walk_modulus = math.prod(walked)
         survivors, prev, cur, q_n = [], 2, a, 1
         for n in range(1, nmax + 1):
             q_n = q_n * q % walk_modulus
-            if all((q_n + 1 - cur) % m in SQUARES_MOD[m] for m in WALK_MODULI):
+            if all((q_n + 1 - cur) % m in SQUARES_MOD[m] for m in walked):
                 survivors.append(n)
             prev, cur = cur, (a * cur - q * prev) % walk_modulus
-        table = RecordingTable()
-        with monkeypatch.context() as patch:
-            patch.setattr(sequence, "_JUMP_TABLES", ((jump_modulus, table),))
-            assert square_hits_scan(q, a, nmax) == []
-        assert survivors[-1] > 3 * sequence._WINDOW
-        assert table.residues == [
-            (pow(q, n, jump_modulus) + 1 - _trace_mod(q, a, n, jump_modulus)) % jump_modulus
-            for n in survivors], (q, a)
+        hits, log = stage_two_lookups(monkeypatch, q, a, nmax)
+        last.append(survivors[-1])
+        counts = [q ** n + 1 - trace_term(q, a, n) for n in survivors]
+        assert log == expected_lookups(counts, unwalked), (q, a)
+        assert [h.n for h in hits] == [n for n, *_ in exact_scan(q, a, 20)]
+    assert min(last) > 2 * sequence._WINDOW and max(last) > 3 * sequence._WINDOW
+
+
+# (q, a) whose walks include split or ramified jump primes at n <= 2000:
+# q = 17 and 47 are jump primes themselves, 17 divides D = -187 of (47, -1),
+# and (32, 8) and (3, 3) are degenerate, with m = 4 and 6.
+SPLIT_WALK_PAIRS = [(17, 6), (17, -1), (47, -1), (47, 5), (32, 8), (3, 3), (2, -1)]
+
+
+def test_split_prime_walks_prove_their_periods():
+    """Each jump prime a pair walks is prime to q with D = a^2 - 4q a square or
+    0 modulo it, and its walk ends at an exact return: (a_n, a_(n+1), q^n) mod
+    l from exact ``trace_term`` values at n = 1 + lam equals that at n = 1 and
+    at no n in between, lam divides l - 1, and the excluded bits are the
+    non-residues of the exact N_n over two periods.  An inert prime's walk,
+    capped at l - 1 steps, gives up."""
+
+    def state(q, a, n, mod):
+        return trace_term(q, a, n) % mod, trace_term(q, a, n + 1) % mod, pow(q, n, mod)
+
+    walked_primes = {}
+    for q, a in SPLIT_WALK_PAIRS:
+        walks, unwalked = sieve_plan(q, a, 2000)
+        disc = a * a - 4 * q
+        for ell, mu, lam, excluded in walks[6:]:
+            assert q % ell and disc % ell in SQUARES_MOD[ell], (q, a, ell)
+            assert mu == 1 and (ell - 1) % lam == 0, (q, a, ell)
+            first = state(q, a, 1, ell)
+            assert [n for n in range(2, lam + 2) if state(q, a, n, ell) == first] == [lam + 1]
+            for n in range(1, 2 * lam + 1):
+                count = q ** n + 1 - trace_term(q, a, n)
+                assert (excluded >> n - 1) & 1 == (count % ell not in SQUARES_MOD[ell]), (q, a, n)
+        walked_primes[q, a] = [w[0] for w in walks[6:]]
+        if q in JUMP_MODULI:
+            assert q in unwalked
+    assert all(walked_primes.values())
+    assert (47 * 4 - 1) % 17 == 0 and 17 in walked_primes[47, -1]
+    assert classify_degeneracy(32, 8) == 4 and classify_degeneracy(3, 3) == 6
+    # D = 0 for (49, 14), so every l != 7 is ramified, but with m = 1 the cycle
+    # root settles every n: S = 0 and no jump prime is walked.
+    assert classify_degeneracy(49, 14) == 1 and len(sieve_plan(49, 14, 2000)[0]) == 6
+    # D = -7 is a non-residue mod 17: (a_n, a_(n+1), q^n) has no period
+    # dividing 16, so the capped walk finds no return.
+    flags = dict(sequence._JUMP_TABLES)[17]
+    assert (-7) % 17 not in SQUARES_MOD[17]
+    assert sequence._stage_one_walk(2, -1, 17, flags, 100, 16) is None
 
 
 def test_scan_memory_does_not_grow_with_nmax():
     """A scan to n = 2 * 10^6 peaks under 1 MiB; one bin() string of a
-    full-length live set would take 2 MB.  (23, -3) keeps the fewest stage-1
-    survivors of the paper's pairs, so its stage-2 gaps and U lists are the
-    longest."""
+    full-length live set would take 2 MB.  (23, -3) keeps the fewest survivors
+    of the six prime-power walks of the paper's pairs, so its stage-2 gaps
+    are the longest."""
     assert classify_degeneracy(23, -3) is None
     tracemalloc.start()
     try:
@@ -339,6 +425,26 @@ def test_scan_q2_a_minus1():
 def test_scan_q47_a_minus1():
     hits = square_hits_scan(47, -1, 5)
     assert [(h.n, h.u) for h in hits] == [(1, 7), (3, 322)]
+
+
+def test_a_minus_1_cube_count_is_square_exactly_when_q_plus_2_is():
+    """For a = -1, a_3 = 3q - 1 and N_3 = (q - 1)^2 (q + 2), so n = 3 is a
+    hit exactly when q + 2 is a square, for every prime power q < 1024.  At
+    nmax = 3 the walk rule walks no jump prime l with l - 1 > 3K."""
+    found = []
+    for pp in prime_powers_below(1024):
+        q = pp.q
+        assert trace_term(q, -1, 3) == 3 * q - 1
+        assert q ** 3 + 1 - (3 * q - 1) == (q - 1) ** 2 * (q + 2)
+        hits = {h.n: h.u for h in square_hits_scan(q, -1, 3)}
+        root = math.isqrt(q + 2)
+        assert (3 in hits) == (root * root == q + 2), q
+        if 3 in hits:
+            assert hits[3] == (q - 1) * root
+            found.append(q)
+        walks, _ = sieve_plan(q, -1, 3)
+        assert all(ell - 1 <= 3 * sequence._WALK_BUDGET for ell, *_ in walks[6:]), q
+    assert found == [2, 7, 23, 47, 79, 167, 223, 359, 439, 727, 839]
 
 
 def test_scan_q2_a1_no_hits_and_oracle_agrees():
