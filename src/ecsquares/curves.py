@@ -10,29 +10,30 @@ runs on the field's log and Zech tables.  No point-counting theory beyond
 the defining equation is used, which is the point: these counts
 independently validate the trace recurrence.
 
-Trace realization is one sweep over reduced curve families that cover every
-isomorphism class in each characteristic.  Per (a1, a2, a3, a4) it finds
-the x-side once, then counts each nonsingular a6:
+Trace realization sweeps reduced families covering every isomorphism class,
+one row (a1, a2, a3, a4) at a time: the x-side is found once per row, then
+each nonsingular a6 is counted.
 
-* p > 3:  y^2 = x^3 + A x + B              over (A, B) in lex order
-* p = 3:  y^2 = x^3 + a2 x^2 + a4 x + a6   over (a2, a4, a6) in lex order;
-          for a2 != 0 the curve is counted on its translate by
-          x -> x + a4 / a2, y^2 = x^3 + a2 x^2 + a6', so the q curves of
-          one (a2, a6') share one x-side and one count
-* p = 2:  y^2 + x y = x^3 + a2 x^2 + a6    (ordinary, (a2, a6) lex), then
-          y^2 + a3 y = x^3 + a4 x + a6     (supersingular, (a3, a4, a6) lex)
+* p > 3:  y^2 = x^3 + A x + B              rows A
+* p = 3:  y^2 = x^3 + a4 x + a6            rows a4 != 0, then
+          y^2 = x^3 + a2 x^2 + a6          rows a2 != 0, a6 != 0
+* p = 2:  y^2 + x y = x^3 + a2 x^2 + a6    rows a2, a6 != 0 (ordinary), then
+          y^2 + a3 y = x^3 + a4 x + a6     rows (a3, a4) (supersingular)
 
-The short form is singular for every coefficient choice in characteristic 2,
-so the split families there are mandatory, not an optimization.  A sweep
-costs about q^3 x-steps for p > 3 and for the ordinary family of p = 2
-(q^2 curves of q points each), about 2 q^3 for p = 3 (about 2 q^2 distinct
-counts, the q^3 curves being lookups), and q^4 for the supersingular family
-of p = 2 (q^3 curves); q = 64 takes about 5 s, q = 81 about 2 s.
+An admissible change of variables maps points one-to-one, so rows it joins
+count the same multiset, and only the first row of each class is swept.
+x -> u^2 x scales A and a4 by u^4, a2 by u^2 and a3 by u^3 (class key: log
+mod gcd(n, q - 1) for u^n, zero apart); for p = 3, x -> x + a4 / a2 takes
+row (a2, a4) to (a2, 0); for p = 2, y -> y + s x moves a2 by s^2 + s, and
+x -> x + s^2 moves a4 by s^4 + a3 s (key: the coset of that image).  So a
+field costs at most 8 rows, about 8 q^2 x-steps: 1.5 s at q = 1024 (2 cores).
+The short form is singular for every coefficient choice in characteristic
+2, so the split families there are mandatory, not an optimization.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -47,7 +48,7 @@ from .finitefield import (
 from .traces import PrimePower, _checked_q
 
 DEFAULT_COUNT_LIMIT = 1 << 16
-REALIZATION_Q_LIMIT = 128  # realize_trace's sweep costs up to about q^4 x-steps (module docstring)
+REALIZATION_Q_LIMIT = 1024  # realize_trace sweeps at most 8 rows of q counts (module docstring)
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,7 @@ _REALIZATION_CACHE: dict[tuple[int, int], dict[int, tuple]] = {}
 def realize_trace(q: "int | PrimePower", a: int) -> WeierstrassCurve | None:
     """First curve (in the family enumeration order) with trace a, or None.
 
-    None means the full enumeration found no curve, which by the Waterhouse
-    criterion happens exactly for inadmissible traces.  q above the
+    None means that no class of any family has the trace.  q above the
     realization guard is refused before any field is built.
     """
     pp = _checked_q(q, a)
@@ -202,72 +202,72 @@ def realize_trace(q: "int | PrimePower", a: int) -> WeierstrassCurve | None:
 
 
 def _realization_table(pp: PrimePower) -> dict[int, tuple]:
-    """trace -> first realizing curve, computed by one exhaustive family sweep.
+    """trace -> first realizing curve, from one sweep of the class-first rows.
 
-    A translated base is shared by the q curves of one a2 that differ in a4,
-    so its counter and every count it gives are memoized; an untranslated
-    family is counted once per a6, where a memo would only cost lookups.
+    A skipped row maps one-to-one onto an earlier row's curves, so it adds no
+    trace, and every first curve is that of the full family enumeration.
     """
     key = (pp.p, pp.b)
     table = _REALIZATION_CACHE.get(key)
     if table is None:
         ctx = make_field_context(pp.p, pp.b)
-
-        @functools.cache
-        def translated(base):
-            return functools.cache(_affine_counter(ctx, *base))
-
         table = {}
-        for prefix, base, a6_pairs in _families(ctx):
-            count = _affine_counter(ctx, *prefix) if base is None else translated(base)
-            for a6, base_a6 in a6_pairs:
-                table.setdefault(ctx.q - count(base_a6), prefix + (a6,))
+        for prefix, a6s in _families(ctx):
+            count = _affine_counter(ctx, *prefix)
+            for a6 in a6s:
+                table.setdefault(ctx.q - count(a6), prefix + (a6,))
         _REALIZATION_CACHE[key] = table
     return table
 
 
-def _families(ctx: FieldContext):
-    """Each (a1, a2, a3, a4) of the realization families, in order, with the
-    base (a1, a2, a3, a4) it is counted on (None: itself) and its nonsingular
-    a6 values in order, each paired with the a6 at which to count the base.
+def _firsts(rows, key):
+    """The rows whose key no earlier row had, in order."""
+    first = {}
+    for row in rows:
+        first.setdefault(key(row), row)
+    return list(first.values())
 
-    For p = 3 and a2 != 0, x -> x + r with r = a4 / a2 (= -a4 / (2 a2))
-    clears the x term: (a2, a4, a6) becomes (a2, 0, a6 + s), with
-    s = r^3 + a2 r^2 + a4 r, and (x, y) -> (x - r, y) matches up the points.
-    So the base is (0, a2, 0, 0), and each curve is counted there at a6 + s.
+
+def _families(ctx: FieldContext):
+    """(a1, a2, a3, a4) and its nonsingular a6 values, in order, for the
+    first row of each isomorphism class of the realization families.
 
     The discriminant reduces per family: 4A^3 + 27B^2 up to a unit for
-    p > 3; for p = 3, -a4^3 when a2 = 0 and -a2^3 (a6 + s) otherwise; a6
-    for the ordinary and a3^4 for the supersingular family of p = 2 (each
-    checked against the generic formula in the test suite).  Ordinary
-    traces are odd and supersingular ones even, so the first-curve table
-    never has to arbitrate between the two families of p = 2.
+    p > 3; for p = 3, -a4^3 when a2 = 0 and -a2^3 a6 when a4 = 0; a6 for the
+    ordinary and a3^4 for the supersingular family of p = 2 (each checked
+    against the generic formula in the test suite).  Ordinary traces are
+    odd and supersingular ones even, so the first-curve table never has to
+    arbitrate between the two families of p = 2.
     """
     elems = ctx.element_tuples()
     zero, one = ctx.zero_t, ctx.one_t
-    add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
+    exp, log, _ = ctx.log_tables()
+    m = ctx.q - 1
+
+    def power_class(n):
+        # c ~ u^n c: the class is log c mod gcd(n, q - 1); zero's log is m.
+        d = math.gcd(n, m)
+        return lambda c: -1 if not any(c) else log[ctx.index_of(c)] % d
+
     if ctx.p > 3:
-        b_terms = [smul(27, mul(b, b)) for b in elems]
-        for a in elems:
-            a_term = smul(4, mul(a, mul(a, a)))
-            yield (zero, zero, zero, a), None, [(b, b) for b, t in zip(elems, b_terms)
-                                                if any(add(a_term, t))]
+        add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
+        for a in _firsts(elems, power_class(4)):
+            t = smul(4, mul(a, mul(a, a)))
+            yield (zero, zero, zero, a), [b for b in elems if any(add(t, smul(27, mul(b, b))))]
     elif ctx.p == 3:
-        for a4 in elems[1:]:
-            yield (zero, zero, zero, a4), None, [(a6, a6) for a6 in elems]
-        for a2 in elems[1:]:
-            base = (zero, a2, zero, zero)
-            inv_a2 = ctx.inv_t(a2)
-            for a4 in elems:
-                r = mul(a4, inv_a2)
-                s = mul(add(mul(add(r, a2), r), a4), r)
-                yield (zero, a2, zero, a4), base, [(a6, t) for a6 in elems if any(t := add(a6, s))]
+        for a4 in _firsts(elems[1:], power_class(4)):
+            yield (zero, zero, zero, a4), elems
+        for a2 in _firsts(elems[1:], power_class(2)):
+            yield (zero, a2, zero, zero), elems[1:]
     else:
-        for a2 in elems:
-            yield (one, a2, zero, zero), None, [(a6, a6) for a6 in elems[1:]]
-        for a3 in elems[1:]:
-            for a4 in elems:
-                yield (zero, zero, a3, a4), None, [(a6, a6) for a6 in elems]
+        hist = ctx.artin_schreier_counter()
+        for a2 in _firsts(elems, lambda a2: hist[log[ctx.index_of(a2)]] > 0):
+            yield (one, a2, zero, zero), elems[1:]
+        for a3 in _firsts(elems[1:], power_class(3)):
+            # Indices add by XOR in characteristic 2; s = 0 puts 0 in the image.
+            image = {0, *(exp[k] for k in ctx.poly_logs([one, zero, zero, a3, zero]) if k != m)}
+            for a4 in _firsts(elems, lambda a4: min(map(ctx.index_of(a4).__xor__, image))):
+                yield (zero, zero, a3, a4), elems
 
 
 def base_change_count(curve: WeierstrassCurve, n: int, *,

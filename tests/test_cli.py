@@ -137,12 +137,12 @@ def test_realize_hasse_violation(capsys):
 
 @pytest.mark.parametrize("command", ["realize", "verify-extension"])
 def test_realization_guard_exits_2(capsys, monkeypatch, command):
-    # GF(256) would take minutes to sweep; refused before any field is built.
+    # GF(2048) is above the realization guard; refused before any field is built.
     def no_sweep(pp):
         raise AssertionError(f"swept GF({pp.q})")
 
     monkeypatch.setattr("ecsquares.curves._realization_table", no_sweep)
-    code, out, err = run_cli(capsys, command, "--q", "256", "--a", "0")
+    code, out, err = run_cli(capsys, command, "--q", "2048", "--a", "0")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "realization guard" in err

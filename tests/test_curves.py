@@ -17,7 +17,7 @@ from ecsquares import (
     short_weierstrass,
     trace_sequence,
 )
-from ecsquares.curves import _count_curve, _discriminant_t, _families
+from ecsquares.curves import _count_curve, _discriminant_t, _families, _realization_table
 from ecsquares.search import prime_powers_below
 from ecsquares.traces import as_prime_power, hasse_bound
 
@@ -68,8 +68,9 @@ def test_short_form_is_always_singular_in_char2():
 @pytest.mark.parametrize("p,b", [(3, 1), (3, 2)])
 def test_char3_family_discriminant_shortcut_matches_generic(p, b):
     # a2^2 a4^2 - a4^3 - a2^3 a6 is the discriminant of the p = 3 family; the
-    # sweep reads its a4 = 0 case, -a2^3 a6, on translated curves (test
-    # below) and its a2 = 0 case, -a4^3, directly.  Confirm the generic form.
+    # sweep reads its a4 = 0 case, -a2^3 a6, and its a2 = 0 case, -a4^3, on
+    # the rows it keeps (each checked in the test below).  Confirm the
+    # generic form.
     ctx = make_field_context(p, b)
     mul, sub = ctx.mul_t, ctx.sub_t
     for a2 in ctx.element_tuples():
@@ -82,27 +83,40 @@ def test_char3_family_discriminant_shortcut_matches_generic(p, b):
                 assert shortcut == _discriminant_t(ctx, quint)
 
 
-@pytest.mark.parametrize("b", [1, 2, 3])
-def test_char3_sweep_counts_each_curve_on_its_translate(b):
-    # For a2 != 0, x -> x + r with r = a4 / a2 turns (a2, a4, a6) into
-    # (a2, 0, a6 + s), s = r^3 + a2 r^2 + a4 r: the realization sweep counts
-    # every such curve there and keeps it iff a6 + s != 0.  Check each curve
-    # it yields against its own count and the generic discriminant.
-    ctx = make_field_context(3, b)
-    zero, elems = ctx.zero_t, ctx.element_tuples()
-    prefixes = []
-    for prefix, base, a6_pairs in _families(ctx):
-        prefixes.append(prefix)
-        assert [a6 for a6, _ in a6_pairs] == [
-            a6 for a6 in elems if any(_discriminant_t(ctx, prefix + (a6,)))], prefix
-        if base is None:
-            assert not any(prefix[1]) and all(a6 == at for a6, at in a6_pairs), prefix
-            continue
-        assert base == (zero, prefix[1], zero, zero)
-        for a6, base_a6 in a6_pairs:
-            assert _count_curve(ctx, prefix + (a6,)) == _count_curve(ctx, base + (base_a6,))
-    assert prefixes == [(zero, a2, zero, a4) for a2 in elems for a4 in elems
-                        if any(a2) or any(a4)]
+def _unreduced_rows(ctx):
+    """Every (a1, a2, a3, a4) of the realization families, in lex order."""
+    elems, zero, one = ctx.element_tuples(), ctx.zero_t, ctx.one_t
+    if ctx.p > 3:
+        return [(zero, zero, zero, a4) for a4 in elems]
+    if ctx.p == 3:
+        return [(zero, a2, zero, a4) for a2 in elems for a4 in elems if any(a2) or any(a4)]
+    return ([(one, a2, zero, zero) for a2 in elems]
+            + [(zero, zero, a3, a4) for a3 in elems[1:] for a4 in elems])
+
+
+@pytest.mark.parametrize("p,b", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (3, 1), (3, 2),
+                                 (2, 1), (2, 2), (2, 3), (2, 4)])
+def test_class_first_rows_realize_what_every_curve_does(p, b):
+    # Count every nonsingular curve of every row, with the generic
+    # discriminant.  A row the sweep skips must count the same multiset as
+    # an earlier row it keeps, a kept row must keep exactly the nonsingular
+    # a6, and the first curve per trace must be the sweep's.
+    ctx = make_field_context(p, b)
+    kept = dict(_families(ctx))
+    rows = _unreduced_rows(ctx)
+    assert [row for row in rows if row in kept] == list(kept)
+    kept_counts, table = [], {}
+    for row in rows:
+        a6s = [a6 for a6 in ctx.element_tuples() if any(_discriminant_t(ctx, row + (a6,)))]
+        counts = [_count_curve(ctx, row + (a6,)) for a6 in a6s]
+        for a6, n in zip(a6s, counts):
+            table.setdefault(ctx.q + 1 - n, row + (a6,))
+        if row in kept:
+            assert kept[row] == a6s, row
+            kept_counts.append(sorted(counts))
+        else:
+            assert sorted(counts) in kept_counts, row
+    assert table == _realization_table(as_prime_power(ctx.q))
 
 
 def test_char2_family_discriminant_shortcuts_match_generic():
@@ -212,6 +226,19 @@ def test_realizations_are_pinned_for_q81():
     assert _sha256(lines) == REALIZATIONS_81_SHA256
 
 
+# The same lines for every prime power 50 <= q <= 128, pinned from the sweep
+# that counted every row of the families, before it kept one row per class.
+REALIZATIONS_50_128_SHA256 = "a9453cd7865e86d3e634efb1820e5a605e1b2466cb0e07090ce718d0edd5de55"
+
+
+def test_realizations_are_pinned_for_q50_to_128():
+    pps = [pp for pp in prime_powers_below(129) if pp.q >= 50]
+    lines = _realization_lines(pps)
+    assert (len(pps), len(lines)) == (21, 797)
+    assert sum(line.endswith(" none") for line in lines) == 48
+    assert _sha256(lines) == REALIZATIONS_50_128_SHA256
+
+
 def test_realize_inadmissible_is_none():
     assert realize_trace(27, 3) is None
 
@@ -234,20 +261,19 @@ def test_realize_guard_refuses_large_fields_before_building(monkeypatch):
         raise AssertionError(f"swept GF({pp.q})")
 
     monkeypatch.setattr("ecsquares.curves._realization_table", no_sweep)
-    for q in (131, 256, 1 << 20):
+    for q in (1031, 2048, 1 << 20):
         with pytest.raises(ResourceLimitError, match="realization guard"):
             realize_trace(q, 0)
     with pytest.raises(DomainError):  # the Hasse check still comes first
-        realize_trace(131, 23)
+        realize_trace(1031, 65)
 
 
 def test_realize_refusal_names_the_guard_and_no_cost():
-    """The refusal claims no sweep size: that differs by characteristic (about
-    q^2 curves for p > 3, q^3 for the supersingular family of p = 2)."""
+    """The refusal claims no sweep size: that differs by characteristic."""
     with pytest.raises(ResourceLimitError) as refusal:
-        realize_trace(256, 0)
+        realize_trace(2048, 0)
     assert str(refusal.value) == (
-        "realizing a trace over GF(256) is refused: the realization guard is q <= 128")
+        "realizing a trace over GF(2048) is refused: the realization guard is q <= 1024")
 
 
 def test_realized_counts_have_the_requested_trace():
