@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    # Rejected while parsing: argparse prefixes "argument --name: " and exits 1.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _open_out(args) -> TextIO | None:
     # Opened once the whole command line has parsed, so a later bad argument
     # leaves no file behind, and before any search work, so a bad path is a
@@ -86,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check the recurrence against brute-force counts")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--count-limit", type=int, default=DEFAULT_COUNT_LIMIT)
+    p.add_argument("--count-limit", type=_positive_int, default=DEFAULT_COUNT_LIMIT)
 
     sub.add_parser("paper-check", help="diff the default search against the published table")
     return parser

@@ -8,7 +8,12 @@ f(x) = x^3 + a2 x^2 + a4 x + a6; in characteristic 2 it is at f(x) / L(x)^2
 with L = a1 x + a3, and an x with L(x) = 0 gives one point.  The loop over x
 runs on the field's log and Zech tables.  No point-counting theory beyond
 the defining equation is used, which is the point: these counts
-independently validate the trace recurrence.
+independently validate the trace recurrence.  A base-changed curve has its
+coefficients in GF(q) inside GF(q^n), so x -> x^q maps the points above x
+one-to-one onto those above x^q (Silverman, *The Arithmetic of Elliptic
+Curves*, ch. V): the x-side runs once per orbit of that map, about q^n / n
+x, and each orbit counts times its size.  The y-side histogram and the
+log/Zech tables still cover all of GF(q^n).
 
 Trace realization sweeps reduced families covering every isomorphism class,
 one row (a1, a2, a3, a4) at a time: the x-side is found once per row, then
@@ -123,17 +128,18 @@ def count_points_naive(curve: WeierstrassCurve) -> CurveCount:
     ctx = curve.ctx
     if not any(_discriminant_t(ctx, curve.coefficient_tuples())):
         raise DomainError(f"singular curve {curve}")
-    n = _count_curve(ctx, curve.coefficient_tuples())
+    n = _count_curve(ctx, ctx.q, curve.coefficient_tuples())
     return CurveCount(curve=curve, N=n, a=ctx.q + 1 - n)
 
 
-def _count_curve(ctx: FieldContext, quint) -> int:
-    """Total points (with infinity) of y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+def _count_curve(ctx: FieldContext, q0: int, quint) -> int:
+    """Total points (with infinity) of y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6,
+    a curve with coefficients in the subfield GF(q0)."""
     a1, a2, a3, a4, a6 = quint
-    return 1 + _affine_counter(ctx, a1, a2, a3, a4)(a6)
+    return 1 + _affine_counter(ctx, q0, a1, a2, a3, a4)(a6)
 
 
-def _affine_counter(ctx: FieldContext, a1, a2, a3, a4):
+def _affine_counter(ctx: FieldContext, q0: int, a1, a2, a3, a4):
     """a6 -> affine points of y^2 + L(x) y = x^3 + a2 x^2 + a4 x + a6, L = a1 x + a3.
 
     In odd characteristic the square is completed first, which leaves L = 1
@@ -143,10 +149,12 @@ def _affine_counter(ctx: FieldContext, a1, a2, a3, a4):
     points as the y-side histogram holds at f(x) / L(x)^2.  Everything runs
     in the log domain: ``poly_logs`` finds log(x^3 + a2 x^2 + a4 x) and
     log L(x) once per x, after which each a6 costs one Zech addition per x.
+    With the coefficients, a6 included, in GF(q0), one x per orbit of
+    x -> x^q0 is evaluated and weighted by the orbit's size (module docstring).
     """
     hist = ctx.artin_schreier_counter() if ctx.p == 2 else ctx.square_counter()
     _, log, zech = ctx.log_tables()
-    q, m = ctx.q, ctx.q - 1
+    m = ctx.q - 1
     add = ctx.add_t
     a6_shift = ctx.zero_t
     if ctx.p != 2:
@@ -160,18 +168,23 @@ def _affine_counter(ctx: FieldContext, a1, a2, a3, a4):
         a6_shift = smul(inv4, mul(a3, a3))
         a1, a3 = ctx.zero_t, ctx.one_t
 
-    cubic = ctx.poly_logs([ctx.one_t, a2, a4, ctx.zero_t])
-    lines = ctx.poly_logs([a1, a3])
-    points = [(u, -2 * l % m) for u, l in zip(cubic, lines) if l != m]
-    vertical = q - len(points)
+    groups = []
+    for size, positions in ctx.frobenius_orbits(q0):
+        cubic = ctx.poly_logs([ctx.one_t, a2, a4, ctx.zero_t], positions)
+        lines = ctx.poly_logs([a1, a3], positions)
+        points = [(u, -2 * l % m) for u, l in zip(cubic, lines) if l != m]
+        groups.append((size, len(positions) - len(points), points))
 
-    def count(a6) -> int:
-        c = log[ctx.index_of(add(a6, a6_shift))]
+    def affine(c, vertical, points) -> int:
         if c == m:
             return vertical + sum([hist[u if u == m else (u + s) % m] for u, s in points])
         return vertical + sum([
             hist[(c + s) % m if u == m else m if (w := zech[u - c]) == m else (c + w + s) % m]
             for u, s in points])
+
+    def count(a6) -> int:
+        c = log[ctx.index_of(add(a6, a6_shift))]
+        return sum(size * affine(c, vertical, points) for size, vertical, points in groups)
 
     return count
 
@@ -213,7 +226,7 @@ def _realization_table(pp: PrimePower) -> dict[int, tuple]:
         ctx = make_field_context(pp.p, pp.b)
         table = {}
         for prefix, a6s in _families(ctx):
-            count = _affine_counter(ctx, *prefix)
+            count = _affine_counter(ctx, ctx.q, *prefix)
             for a6 in a6s:
                 table.setdefault(ctx.q - count(a6), prefix + (a6,))
         _REALIZATION_CACHE[key] = table
@@ -275,9 +288,11 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
     """Exhaustive point count of the curve over GF(q^n).
 
     Builds GF(q^n) explicitly, maps the coefficients through the canonical
-    field embedding, and counts.  This is the independent oracle for the
-    trace recurrence; it never consults it.  A limit above the field-size
-    guard (2^20) is refused before anything is built.
+    field embedding, and counts one x per orbit of x -> x^q, weighted by the
+    orbit's size.  This is the independent oracle for the trace recurrence;
+    it consults neither the recurrence nor any trace or zeta function.  A
+    limit above the field-size guard (2^20) is refused before anything is
+    built.
     """
     ctx = curve.ctx
     if n < 1:
@@ -291,4 +306,4 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
     big = make_field_context(ctx.p, ctx.b * n)
     embedding = embed_field(ctx, big)
     quint = tuple(embedding.map_tuple(c) for c in curve.coefficient_tuples())
-    return _count_curve(big, quint)
+    return _count_curve(big, ctx.q, quint)

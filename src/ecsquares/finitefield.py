@@ -40,9 +40,13 @@ polynomial evaluator: for the point counts (the y-side histograms
 ``square_counter`` of y^2 and ``artin_schreier_counter`` of y^2 + y, and the
 x-side in the curves module), the modulus search (no root in any GF(p^d),
 d <= b/2, means irreducible) and embeddings (the small modulus's first root).
-A ``step`` restricts it to the positions 0, step, 2 step, ..., q - 1: with
-step (q - 1) / (q' - 1) those are exactly the q' elements of the subfield
-GF(q'), the only place an embedding's root can lie.
+Given positions it evaluates only there: positions 0, d, 2 d, ..., q - 1
+with d = (q - 1) / (q' - 1) are exactly the q' elements of the subfield
+GF(q'), the only place an embedding's root can lie.  ``frobenius_orbits(q')``
+picks one position per orbit of x -> x^q' (k -> k q' mod (q - 1)), grouped
+by orbit size: a polynomial with coefficients in GF(q') takes q'-th powers
+of its values along an orbit, so the point counts of a curve defined over
+GF(q') evaluate about q / n positions, n = log_q' q, not q.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ class FieldContext:
         self._log_tables: tuple[list[int], list[int], list[int]] | None = None
         self._square_counter: list[int] | None = None
         self._as_counter: list[int] | None = None
+        self._frobenius_orbits: dict[int, list[tuple[int, Sequence[int]]]] = {}
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.b})"
@@ -295,9 +300,10 @@ class FieldContext:
                 return u
         raise RuntimeError(f"invariant violation: {self!r} has no primitive element")
 
-    def poly_logs(self, coeffs: Sequence[tuple[int, ...]], step: int = 1) -> list[int]:
-        """log f(x) at positions 0, step, 2 step, ..., q - 1, for f given by
-        coefficient tuples, highest degree first; step must divide q - 1.
+    def poly_logs(self, coeffs: Sequence[tuple[int, ...]],
+                  positions: Sequence[int] | None = None) -> list[int]:
+        """log f(x) at each of the positions (default: all q, in order), for
+        f given by coefficient tuples, highest degree first.
 
         Position k < q - 1 holds x = g^k and position q - 1 holds x = 0; a
         zero value reads q - 1.  This is Horner's rule in the log domain:
@@ -306,7 +312,8 @@ class FieldContext:
         """
         _, log, zech = self.log_tables()
         m = self.q - 1
-        positions = range(0, self.q, step)
+        if positions is None:
+            positions = range(self.q)
         logs = [log[self.index_of(coeffs[0])]] * len(positions)
         for coeff in coeffs[1:]:
             # Times x (zero if u or x is), then plus g^c: nothing at c = m, else a Zech step.
@@ -315,6 +322,42 @@ class FieldContext:
                     else m if (w := zech[(u + k - c) % m]) == m else (c + w) % m
                     for k, u in zip(positions, logs)]
         return logs
+
+    def frobenius_orbits(self, q0: int) -> list[tuple[int, Sequence[int]]]:
+        """[(size, positions), ...], by increasing size: one position per orbit
+        of x -> x^q0 (k -> k q0 mod (q - 1); x = 0 is its own) for a subfield
+        GF(q0), cached.  Sizes divide n = log_q0 q; q0 = q gives (1, range(q)).
+        """
+        groups = self._frobenius_orbits.get(q0)
+        if groups is None:
+            degrees = [self.b // d for d in range(1, self.b + 1)
+                       if self.b % d == 0 and self.p ** d == q0]
+            if not degrees:
+                raise DomainError(f"GF({q0}) is not a subfield of {self!r}")
+            n, m = degrees[0], self.q - 1
+            if n == 1:
+                groups = [(1, range(self.q))]
+            else:
+                # The smallest position of each orbit is the one that no
+                # k q0^j mod m, 0 < j < n, undercuts.
+                reps = range(m)
+                for j in range(1, n):
+                    t = q0 ** j
+                    reps = [k for k in reps if k <= k * t % m]
+                # An orbit of size j < n lies in GF(q0^j), j | n: the positions
+                # that (q - 1) / (q0^j - 1) divides.  The least such j, written
+                # last, is its size.
+                short: dict[int, int] = {}
+                for j in range(n - 1, 0, -1):
+                    if n % j == 0:
+                        short.update(dict.fromkeys(range(0, m, m // (q0 ** j - 1)), j))
+                by_size = {n: [k for k in reps if k not in short]}
+                for k in [k for k in reps if k in short]:
+                    by_size.setdefault(short[k], []).append(k)
+                by_size[1].append(m)
+                groups = sorted(by_size.items())
+            self._frobenius_orbits[q0] = groups
+        return groups
 
     def _value_counts(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
         """Number of y with f(y) = v, indexed by log v."""
@@ -473,8 +516,8 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
     enumeration order of the big field, that is a root of the small modulus.
     Being irreducible of degree b, the modulus splits in GF(p^b), so all its
     roots lie in the copy of GF(p^b) inside GF(p^B): 0 and the powers g^(dj)
-    with d = (p^B - 1) / (p^b - 1).  ``poly_logs`` with step d evaluates the
-    modulus at just those p^b elements.
+    with d = (p^B - 1) / (p^b - 1).  ``poly_logs`` at positions 0, d, 2d, ...,
+    p^B - 1 evaluates the modulus at just those p^b elements.
     """
     if small.p != big.p:
         raise DomainError(
@@ -485,8 +528,9 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
     exp, _, _ = big.log_tables()
     m = big.q - 1
     d = m // (small.q - 1)
-    values = big.poly_logs([big.smul_t(c, big.one_t) for c in reversed(small.modulus)], d)
-    roots = [0 if k == m else exp[k] for k, v in zip(range(0, big.q, d), values) if v == m]
+    positions = range(0, big.q, d)
+    values = big.poly_logs([big.smul_t(c, big.one_t) for c in reversed(small.modulus)], positions)
+    roots = [0 if k == m else exp[k] for k, v in zip(positions, values) if v == m]
     if not roots:
         raise RuntimeError(
             f"invariant violation: {small!r} modulus has no root in {big!r}")

@@ -174,6 +174,17 @@ def test_verify_extension_nothing_to_verify(capsys):
     assert "nothing to verify" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_verify_extension_count_limit_below_one_is_usage_error(capsys, limit):
+    code, out, err = run_cli(capsys, "verify-extension", "--q", "2", "--a", "1",
+                             "--count-limit", limit)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ecsquares verify-extension")
+    assert f"error: argument --count-limit: must be at least 1, got {limit}" in err
+    assert "nothing to verify" not in err
+
+
 def test_verify_extension_inadmissible(capsys):
     code, _, err = run_cli(capsys, "verify-extension", "--q", "27", "--a", "3")
     assert code == 2

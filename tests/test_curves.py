@@ -12,6 +12,7 @@ from ecsquares import (
     base_change_count,
     count_points_naive,
     discriminant,
+    embed_field,
     make_field_context,
     realize_trace,
     short_weierstrass,
@@ -108,7 +109,7 @@ def test_class_first_rows_realize_what_every_curve_does(p, b):
     kept_counts, table = [], {}
     for row in rows:
         a6s = [a6 for a6 in ctx.element_tuples() if any(_discriminant_t(ctx, row + (a6,)))]
-        counts = [_count_curve(ctx, row + (a6,)) for a6 in a6s]
+        counts = [_count_curve(ctx, ctx.q, row + (a6,)) for a6 in a6s]
         for a6, n in zip(a6s, counts):
             table.setdefault(ctx.q + 1 - n, row + (a6,))
         if row in kept:
@@ -153,7 +154,7 @@ def test_table_count_matches_double_loop_reference(small_contexts):
         tuples = ctx.element_tuples()
         for _ in range(12):
             quint = tuple(rng.choice(tuples) for _ in range(5))
-            assert _count_curve(ctx, quint) == reference_count(ctx, quint), (ctx, quint)
+            assert _count_curve(ctx, ctx.q, quint) == reference_count(ctx, quint), (ctx, quint)
 
 
 @pytest.mark.parametrize("p,b", [(2, 1), (3, 1), (2, 2)])
@@ -162,7 +163,7 @@ def test_count_matches_reference_on_every_curve(p, b):
     # a1 = 1 with a3 = 0, and a general line a1 x + a3.
     ctx = make_field_context(p, b)
     for quint in itertools.product(ctx.element_tuples(), repeat=5):
-        assert _count_curve(ctx, quint) == reference_count(ctx, quint), (ctx, quint)
+        assert _count_curve(ctx, ctx.q, quint) == reference_count(ctx, quint), (ctx, quint)
 
 
 def test_hasse_bound_for_every_curve_over_small_fields():
@@ -175,7 +176,7 @@ def test_hasse_bound_for_every_curve_over_small_fields():
         for quint in quints:
             if not any(_discriminant_t(ctx, quint)):
                 continue
-            n = _count_curve(ctx, quint)
+            n = _count_curve(ctx, ctx.q, quint)
             a = q + 1 - n
             assert a * a <= 4 * q, (quint, n)
 
@@ -309,6 +310,28 @@ def test_base_change_matches_recurrence_spot_checks():
         while q ** n <= 4096:
             assert base_change_count(curve, n) == terms[n], (q, a, n)
             n += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_base_change_orbit_count_equals_unreduced_count(q):
+    # The oracle evaluates one x per orbit of x -> x^q; the double loop
+    # evaluates every (x, y) of the embedded curve over GF(q^n).  Where
+    # q > p the coefficients lie outside GF(p), which x -> x^p would move.
+    pp = as_prime_power(q)
+    ctx = make_field_context(pp.p, pp.b)
+    tuples = ctx.element_tuples()
+    outside = [c for c in tuples if any(c[1:])] or tuples
+    rng = random.Random(q)
+    quint = tuple(rng.choice(outside) for _ in range(5))
+    while not any(_discriminant_t(ctx, quint)):
+        quint = tuple(rng.choice(outside) for _ in range(5))
+    curve = _curve(ctx, *quint)
+    n = 1
+    while q ** n <= 243:
+        big = make_field_context(pp.p, pp.b * n)
+        embedded = tuple(map(embed_field(ctx, big).map_tuple, quint))
+        assert base_change_count(curve, n) == reference_count(big, embedded), (q, quint, n)
+        n += 1
 
 
 def test_base_change_guard():

@@ -349,7 +349,7 @@ def test_poly_logs_matches_schoolbook_horner(small_contexts):
                 assert ctx.poly_logs(coeffs) == expected, (ctx, coeffs)
 
 
-def test_poly_logs_step_reads_every_step_th_position(small_contexts):
+def test_poly_logs_reads_the_given_positions(small_contexts):
     rng = random.Random(29)
     for ctx in _table_contexts(small_contexts):
         tuples = ctx.element_tuples()
@@ -359,7 +359,47 @@ def test_poly_logs_step_reads_every_step_th_position(small_contexts):
             full = ctx.poly_logs(coeffs)
             for step in (d for d in range(1, m + 1) if m % d == 0):
                 # full[::step] ends at position q - 1, x = 0, since step divides it
-                assert ctx.poly_logs(coeffs, step) == full[::step], (ctx, coeffs, step)
+                positions = range(0, ctx.q, step)
+                assert ctx.poly_logs(coeffs, positions) == full[::step], (ctx, coeffs, step)
+            # Any positions, in any order, as a list.
+            positions = rng.sample(range(ctx.q), min(ctx.q, 7))
+            assert ctx.poly_logs(coeffs, positions) == [full[k] for k in positions]
+
+
+def test_frobenius_orbits_partition_the_positions_for_every_subfield(small_contexts):
+    for ctx in _table_contexts(small_contexts):
+        exp, log, _ = ctx.log_tables()
+        tuples = ctx.element_tuples()
+        for d in (d for d in range(1, ctx.b + 1) if ctx.b % d == 0):
+            q0, n = ctx.p ** d, ctx.b // d
+            groups = ctx.frobenius_orbits(q0)
+            assert ctx.frobenius_orbits(q0) is groups
+            if n == 1:
+                assert groups == [(1, range(ctx.q))], ctx
+                continue
+            assert sum(size * len(positions) for size, positions in groups) == ctx.q
+            covered = []
+            for size, positions in groups:
+                assert n % size == 0, (ctx, q0, size)
+                for k in positions:
+                    # The orbit of x = g^k (x = 0 at k = q - 1) under x -> x^q0.
+                    x = ctx.zero_t if k == ctx.q - 1 else tuples[exp[k]]
+                    orbit, y = [], x
+                    while True:
+                        orbit.append(log[ctx.index_of(y)])
+                        y = ctx.pow_t(y, q0)
+                        if y == x:
+                            break
+                    assert len(orbit) == size, (ctx, q0, k)
+                    covered += orbit
+            assert sorted(covered) == list(range(ctx.q)), (ctx, q0)
+
+
+def test_frobenius_orbits_refuse_a_non_subfield():
+    ctx = make_field_context(2, 4)
+    for q0 in (1, 3, 8, 32, 256):
+        with pytest.raises(DomainError, match="not a subfield"):
+            ctx.frobenius_orbits(q0)
 
 
 def test_index_of_is_enumeration_position():
