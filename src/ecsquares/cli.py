@@ -154,11 +154,15 @@ def _cmd_search(args) -> int:
     config = SearchConfig(qmax=args.qmax, nmax=args.nmax,
                           admissibility=args.admissibility,
                           degeneracy=args.degenerate)
-    report = run_search(config)
-    text = render_records(report.hits, args.fmt)
-    sys.stdout.write(text)
-    if args.out is not None:
-        args.out.write(text)
+
+    def write(text: str) -> None:
+        sys.stdout.write(text)
+        if args.out is not None:
+            args.out.write(text)
+
+    # The header once, then each pair's rows as the search verifies them.
+    write(render_records([], args.fmt))
+    report = run_search(config, lambda hits: write(render_records(hits, args.fmt, header=False)))
     print(f"{len(report.hits)} hits from {report.pairs_scanned} (q, a) pairs "
           f"in {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK

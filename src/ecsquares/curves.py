@@ -2,7 +2,8 @@
 
 Counting is exhaustive and one routine serves every characteristic: for
 every x the number of y solving the curve equation is read from a histogram
-of the y-side values, counted once per field by enumerating y.  In odd
+of the y-side values, built once per field from the group structure (the
+squares are the even powers of g; y^2 + y is additive, kernel {0, 1}).  In odd
 characteristic the square is completed first, so the lookup is at
 f(x) = x^3 + a2 x^2 + a4 x + a6; in characteristic 2 it is at f(x) / L(x)^2
 with L = a1 x + a3, and an x with L(x) = 0 gives one point.  The loop over x
@@ -12,8 +13,8 @@ independently validate the trace recurrence.  A base-changed curve has its
 coefficients in GF(q) inside GF(q^n), so x -> x^q maps the points above x
 one-to-one onto those above x^q (Silverman, *The Arithmetic of Elliptic
 Curves*, ch. V): the x-side runs once per orbit of that map, about q^n / n
-x, and each orbit counts times its size.  The y-side histogram and the
-log/Zech tables still cover all of GF(q^n).
+x, and each orbit counts times its size.  The log/Zech tables still cover
+all of GF(q^n).
 
 Trace realization sweeps reduced families covering every isomorphism class,
 one row (a1, a2, a3, a4) at a time: the x-side is found once per row, then

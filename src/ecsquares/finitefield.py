@@ -18,35 +18,30 @@ Contexts are cached: ``make_field_context(p, b)`` returns the same object for
 the same arguments, so object identity doubles as field identity.  A context
 is immutable after construction apart from internally cached lookup tables.
 
-Multiplying by a fixed u is Z_p-linear, so every multiply is one
-combination: ``mul_t(u, v)`` is ``_combine(v, rows)``, the sum of v_j * rows[j]
-over the rows u * t^j, which ``_t_rows`` builds by repeated ``_times_t`` (shift
-the coefficients up one place, subtract the top one times the modulus).  The
-same combination serves embeddings and the exp table; inverses are u^(q-2).
+``mul_t`` is the one multiply, by Kronecker substitution: u and v, packed one
+digit per w-bit slot with w = (b (p - 1)^2).bit_length(), give one int product
+whose 2b - 1 digits are the coefficients of u(t) v(t); the top b - 1 reduce by
+cached rows t^b, ..., t^(2b-2).  Inverses are u^(q-2).  The exp table and
+embeddings sum digits times the rows u * t^j (``_t_rows``, ``_combine``).
 
 The int-indexed tables come from index arithmetic, never from listing the
 field.  An element's index is its coefficients read as base-p digits
 (``index_of``), its position in the enumeration; its log is k with element =
 g^k, for g the first primitive element (zero's log is the sentinel q - 1).
-The exp table walks the powers of g on packed ints: each element's base-p
-digits sit in w-bit slots, in index order, with w = (2p - 2).bit_length(), so
-one digit sum fits its slot.  Times g is linear, so g * u is the sum of two
-tabulated packed images, one per half of u's slots, and a slotwise
-conditional subtract (add 2^(w-1) - p to every slot, take p off each slot
-whose top bit is then set) reduces it.  ``log_tables`` holds exp, log
-and the Zech table log(1 + g^k): log(g^i + g^j) = i + zech[j - i] (mod q - 1).
-On them ``poly_logs``, Horner's rule at every element at once, is the one
-polynomial evaluator: for the point counts (the y-side histograms
-``square_counter`` of y^2 and ``artin_schreier_counter`` of y^2 + y, and the
-x-side in the curves module), the modulus search (no root in any GF(p^d),
-d <= b/2, means irreducible) and embeddings (the small modulus's first root).
-Given positions it evaluates only there: positions 0, d, 2 d, ..., q - 1
-with d = (q - 1) / (q' - 1) are exactly the q' elements of the subfield
-GF(q'), the only place an embedding's root can lie.  ``frobenius_orbits(q')``
-picks one position per orbit of x -> x^q' (k -> k q' mod (q - 1)), grouped
-by orbit size: a polynomial with coefficients in GF(q') takes q'-th powers
-of its values along an orbit, so the point counts of a curve defined over
-GF(q') evaluate about q / n positions, n = log_q' q, not q.
+``log_tables`` holds exp, log and the Zech table log(1 + g^k), so that
+log(g^i + g^j) = i + zech[j - i] (mod q - 1); its exp table walks the powers
+of g on packed ints.  On them ``poly_logs``, Horner's rule at every element
+at once, is the one polynomial evaluator: for the x-side of the point counts
+(their y-side histograms are read off the group structure), the modulus
+search (no root in any GF(p^d), d <= b/2, means irreducible) and embeddings
+(the small modulus's first root).  Given positions it evaluates only there:
+positions 0, d, 2 d, ..., q - 1 with d = (q - 1) / (q' - 1) are exactly the
+q' elements of the subfield GF(q'), the only place an embedding's root can
+lie.  ``frobenius_orbits(q')`` picks one position per orbit of x -> x^q'
+(k -> k q' mod (q - 1)), grouped by orbit size: a polynomial with
+coefficients in GF(q') takes q'-th powers of its values along an orbit, so
+the point counts of a curve defined over GF(q') evaluate about q / n
+positions, n = log_q' q, not q.
 """
 
 from __future__ import annotations
@@ -107,6 +102,8 @@ class FieldContext:
         self._square_counter: list[int] | None = None
         self._as_counter: list[int] | None = None
         self._frobenius_orbits: dict[int, list[tuple[int, Sequence[int]]]] = {}
+        self._slot = (b * (p - 1) ** 2).bit_length()
+        self._high_rows = self._t_rows(self._times_t((0,) * (b - 1) + (1,)))[:b - 1]
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.b})"
@@ -147,7 +144,17 @@ class FieldContext:
         return rows
 
     def mul_t(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return self._combine(v, self._t_rows(u))
+        """u * v by Kronecker substitution: one int product of the packed digits."""
+        w, b = self._slot, self.b
+        x = y = 0
+        for c, d in zip(reversed(u), reversed(v)):
+            x, y = (x << w) | c, (y << w) | d
+        z, mask = x * y, (1 << w) - 1
+        out = [z >> (w * j) & mask for j in range(b)]
+        for j, row in enumerate(self._high_rows, b):
+            if c := z >> (w * j) & mask:
+                out = [a + c * r for a, r in zip(out, row)]
+        return tuple(a % self.p for a in out)
 
     def _combine(self, digits: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         """The sum of digits[j] * rows[j] over Z_p."""
@@ -359,23 +366,26 @@ class FieldContext:
             self._frobenius_orbits[q0] = groups
         return groups
 
-    def _value_counts(self, coeffs: Sequence[tuple[int, ...]]) -> list[int]:
-        """Number of y with f(y) = v, indexed by log v."""
-        hist = [0] * self.q
-        for v in self.poly_logs(coeffs):
-            hist[v] += 1
-        return hist
-
     def square_counter(self) -> list[int]:
-        """Number of y with y*y = v, indexed by log v (odd characteristic)."""
+        """Number of y with y*y = v, indexed by log v (odd characteristic):
+        g^k and g^(k + (q-1)/2) square to g^(2k), and only 0 to 0."""
         if self._square_counter is None:
-            self._square_counter = self._value_counts((self.one_t, self.zero_t, self.zero_t))
+            self._square_counter = [2, 0] * ((self.q - 1) // 2) + [1]
         return self._square_counter
 
     def artin_schreier_counter(self) -> list[int]:
-        """Number of y with y*y + y = v, indexed by log v (characteristic 2)."""
+        """Number of y with y*y + y = v, indexed by log v (characteristic 2):
+        the map is additive with kernel {0, 1}, so its image, hit twice, is the
+        span of the images of t, ..., t^(b-1) (1's is 0); indices XOR."""
         if self._as_counter is None:
-            self._as_counter = self._value_counts((self.one_t, self.one_t, self.zero_t))
+            _, log, _ = self.log_tables()
+            span = [0]
+            for t_j in self._t_rows(self.gen_t)[:-1]:
+                v = self.index_of(self.add_t(self.mul_t(t_j, t_j), t_j))
+                span += [s ^ v for s in span]
+            self._as_counter = [0] * self.q
+            for i in span:
+                self._as_counter[log[i]] += 2
         return self._as_counter
 
     # The tuple square, cube and 1/x^2 tables are gone: in the log domain

@@ -26,11 +26,11 @@ TABLE_HEADER = "  ".join(
     name.rjust(width) for name, width in zip(RECORD_FIELDS, _TABLE_WIDTHS))
 
 
-def _values(hit: SquareHit) -> tuple:
+def _values(hit: SquareHit, admissible: bool) -> tuple:
     """The hit's values in ``RECORD_FIELDS`` order."""
     pp = hit.q
     return (pp.q, pp.p, pp.b, hit.a, hit.n, str(hit.N), str(hit.u),
-            hit.degenerate_m, waterhouse_admissible(pp, hit.a), hit.source)
+            hit.degenerate_m, admissible, hit.source)
 
 
 def _json_line(values: tuple) -> str:
@@ -68,10 +68,12 @@ _FORMATS = {
 }
 
 
-def render_records(hits: list[SquareHit], fmt: str) -> str:
-    """The full serialized output (including header lines) for one format."""
+def render_records(hits: list[SquareHit], fmt: str, header: bool = True) -> str:
+    """The hits' lines in one format, after its header line unless ``header`` is
+    false; admissibility is computed once per (q, a) pair."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    header, row = _FORMATS[fmt]
-    head = "" if header is None else header + "\n"
-    return head + "".join(row(_values(hit)) + "\n" for hit in hits)
+    head, row = _FORMATS[fmt]
+    head = "" if head is None or not header else head + "\n"
+    admissible = {pair: waterhouse_admissible(*pair) for pair in {(h.q, h.a) for h in hits}}
+    return head + "".join(row(_values(hit, admissible[hit.q, hit.a])) + "\n" for hit in hits)

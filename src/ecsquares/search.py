@@ -11,6 +11,7 @@ modulo the documented errata".
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -80,13 +81,14 @@ def search_pairs(config: SearchConfig) -> list[tuple[PrimePower, int]]:
     return pairs
 
 
-def run_search(config: SearchConfig) -> SearchReport:
+def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchReport:
     """Scan all selected pairs and re-verify every hit with ``verify_hit``.
 
     A pair walks ``trace_sequence`` once, to its last hit, and hands each
     hit its term; a hit out of order, repeated, or not a square raises
     ``RuntimeError``.  Hits come in canonical (q, a, n) order without a
     sort: the pairs are in (q, a) order and each scan yields ascending n.
+    ``on_pair``, if given, is called with each pair's hits once verified.
     """
     start = time.perf_counter()
     pairs = search_pairs(config)
@@ -98,6 +100,8 @@ def run_search(config: SearchConfig) -> SearchReport:
             term = next((t for t in terms if t.n >= hit.n), None)
             if term is None or not verify_hit(hit, term):
                 raise RuntimeError(f"hit failed re-verification: {hit}")
+        if on_pair is not None:
+            on_pair(found)
         hits += found
     return SearchReport(
         config=config,

@@ -9,6 +9,7 @@ import pytest
 from ecsquares import SearchConfig, guaranteed_square, run_search, sporadic_list
 from ecsquares.cli import main
 from ecsquares.records import CSV_HEADER, RECORD_FIELDS, render_records
+from ecsquares.traces import waterhouse_admissible
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +237,47 @@ def test_search_out_file_matches_stdout(capsys, tmp_path):
                               "--out", str(out_file))
     assert code == 0
     assert out_file.read_text(encoding="utf-8") == stdout
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
+def test_search_writes_the_header_once_then_each_pairs_rows(capsys, tmp_path, monkeypatch, fmt):
+    import ecsquares.cli
+
+    calls = []
+
+    def spy(hits, fmt, header=True):
+        calls.append(({(hit.q.q, hit.a) for hit in hits}, header))
+        return render_records(hits, fmt, header)
+
+    monkeypatch.setattr(ecsquares.cli, "render_records", spy)
+    out_file = tmp_path / "hits.out"
+    code, out, _ = run_cli(capsys, "search", "--qmax", "8", "--nmax", "40",
+                           "--degenerate", "include", "--format", fmt, "--out", str(out_file))
+    assert code == 0
+    report = run_search(SearchConfig(qmax=8, nmax=40, degeneracy="include"))
+    assert out == render_records(report.hits, fmt) == out_file.read_text(encoding="utf-8")
+    # One header call, then one call per pair with at most that pair's hits.
+    assert calls[0] == (set(), True)
+    assert len(calls) == 1 + report.pairs_scanned
+    assert all(len(pairs) <= 1 and not header for pairs, header in calls[1:])
+    assert sum(len(pairs) for pairs, _ in calls) == len({(h.q.q, h.a) for h in report.hits})
+
+
+def test_render_records_checks_admissibility_once_per_pair(monkeypatch):
+    import ecsquares.records
+
+    hits = run_search(SearchConfig(qmax=10, nmax=40, degeneracy="include")).hits
+    expected = render_records(hits, "jsonl")
+    calls = []
+
+    def counted(q, a):
+        calls.append((q, a))
+        return waterhouse_admissible(q, a)
+
+    monkeypatch.setattr(ecsquares.records, "waterhouse_admissible", counted)
+    assert render_records(hits, "jsonl") == expected
+    assert sorted(calls, key=str) == sorted({(h.q, h.a) for h in hits}, key=str)
+    assert len(calls) < len(hits)
 
 
 def test_search_out_bad_path_fails_before_searching(capsys, tmp_path, monkeypatch):

@@ -223,6 +223,22 @@ def test_mul_matches_schoolbook_large_degree():
                 assert ctx.mul_t(u, ctx.inv_t(u)) == ctx.one_t
 
 
+# mul_t's slots are w = (b (p - 1)^2).bit_length() bits, and u = v = all
+# digits p - 1 puts exactly b (p - 1)^2 at t^(b-1), which w - 1 bits cannot
+# hold: 2^17 for (257, 2), 1 in a one-bit slot for (2, 1).  GF(3^13) is past
+# the field-size guard, so it is built directly.
+@pytest.mark.parametrize("p,b", [(2, 1), (2, 20), (257, 2), (1021, 1), (3, 13)])
+def test_mul_at_slot_width_edges(p, b):
+    ctx = FieldContext(p, b, _find_modulus(p, b))
+    top = (p - 1,) * b
+    assert ctx.mul_t(top, top) == reference_mul(ctx, top, top)
+    rng = random.Random(p * b)
+    for _ in range(30):
+        u = tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(b))
+        assert ctx.mul_t(u, top) == reference_mul(ctx, u, top)
+        assert ctx.mul_t(top, u) == reference_mul(ctx, top, u)
+
+
 # -- counting tables -----------------------------------------------------------
 
 def _table_contexts(small_contexts):
@@ -313,17 +329,23 @@ def test_zech_table_adds_one(small_contexts):
 
 
 def test_y_side_histogram_matches_enumeration(small_contexts):
-    for ctx in _table_contexts(small_contexts):
+    # Both histograms are read off the group structure; here every y is
+    # evaluated, from GF(2) and GF(3) up to GF(2^12), GF(3^7) and GF(5^4).
+    large = [make_field_context(p, b) for p, b in [(2, 12), (3, 7), (5, 4)]]
+    for ctx in _table_contexts(small_contexts) + large:
         _, log, _ = ctx.log_tables()
+        q = ctx.q
         if ctx.p == 2:
             hist = ctx.artin_schreier_counter()
             values = [ctx.add_t(reference_mul(ctx, y, y), y) for y in ctx.element_tuples()]
+            # Each span entry adds 2 at its log: q / 2 distinct entries, no repeats.
+            assert Counter(hist) == {2: q // 2, 0: q // 2}, ctx
         else:
             hist = ctx.square_counter()
             values = [reference_mul(ctx, y, y) for y in ctx.element_tuples()]
         expected = Counter(log[ctx.index_of(v)] for v in values)
-        assert sum(hist) == ctx.q
-        assert hist == [expected[k] for k in range(ctx.q)], ctx
+        assert sum(hist) == q
+        assert hist == [expected[k] for k in range(q)], ctx
 
 
 def _schoolbook_eval(ctx, coeffs, x):

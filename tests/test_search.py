@@ -101,6 +101,15 @@ def test_search_is_deterministic_and_sorted():
     assert len(set(triples)) == len(triples)
 
 
+def test_on_pair_receives_each_pairs_hits_in_order():
+    batches = []
+    report = run_search(SearchConfig(qmax=10, nmax=40, degeneracy="include"), batches.append)
+    assert len(batches) == report.pairs_scanned == len(search_pairs(report.config))
+    assert [hit for batch in batches for hit in batch] == report.hits
+    assert all(len({(hit.q, hit.a) for hit in batch}) <= 1 for batch in batches)
+    assert sum(1 for batch in batches if batch) > 1
+
+
 def test_hasse_mode_is_a_superset_with_the_inadmissible_entry():
     waterhouse = run_search(SearchConfig(qmax=28, nmax=10))
     hasse = run_search(SearchConfig(qmax=28, nmax=10, admissibility="hasse"))
