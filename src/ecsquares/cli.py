@@ -1,12 +1,19 @@
 """Command-line surface.
 
+Each subcommand names its handler on its subparser, and ``main`` runs it.
+The parser is built once per process, so ``main`` may be called many times
+in one process; handlers look up the functions they call as module globals
+when they run.  ``search``'s defaults are ``SearchConfig``'s and its formats
+those of ``records``.
+
 Exit codes: 0 success, 1 usage error, 2 domain/resource error,
-3 verification mismatch (paper-check or verify-extension).
+3 verification mismatch (against the published table or the brute-force counts).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TextIO
 
@@ -17,9 +24,8 @@ from . import sequence
 from .curves import DEFAULT_COUNT_LIMIT, base_change_count, count_points_naive, realize_trace
 from .errors import DomainError, ResourceLimitError
 from .numeric import perfect_square_root
-from .records import render_records
-from .search import (ADMISSIBILITY_MODES, DEGENERACY_MODES, PaperCheckReport, SearchConfig,
-                     paper_check, run_search)
+from .records import FORMATS, render_records
+from .search import ADMISSIBILITY_MODES, DEGENERACY_MODES, SearchConfig, paper_check, run_search
 from .traces import admissible_traces, as_prime_power, classify_degeneracy
 
 EXIT_OK = 0
@@ -61,52 +67,55 @@ def _open_out(args) -> TextIO | None:
         args.command_parser.error(f"argument --out: can't open '{path}': {exc.strerror}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecsquares",
                      description="Perfect squares among elliptic-curve point "
                                  "counts over finite field extensions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # dest: for the usage error
+    q_arg = argparse.ArgumentParser(add_help=False)
+    q_arg.add_argument("--q", type=int, required=True)
+    a_arg = argparse.ArgumentParser(add_help=False)
+    a_arg.add_argument("--a", type=int, required=True)
 
     p = sub.add_parser("search", help="scan all (q, a) pairs for square counts")
-    p.add_argument("--qmax", type=int, default=50)
-    p.add_argument("--nmax", type=int, default=1000)
-    p.add_argument("--admissibility", choices=ADMISSIBILITY_MODES, default="waterhouse")
-    p.add_argument("--degenerate", choices=DEGENERACY_MODES, default="exclude")
-    p.add_argument("--format", dest="fmt", choices=("jsonl", "csv", "table"), default="jsonl")
+    p.add_argument("--qmax", type=int, default=SearchConfig.qmax)
+    p.add_argument("--nmax", type=int, default=SearchConfig.nmax)
+    p.add_argument("--admissibility", choices=ADMISSIBILITY_MODES,
+                   default=SearchConfig.admissibility)
+    p.add_argument("--degenerate", dest="degeneracy", choices=DEGENERACY_MODES,
+                   default=SearchConfig.degeneracy)
+    p.add_argument("--format", dest="fmt", choices=FORMATS, default="jsonl")
     p.add_argument("--out", default=None)
-    p.set_defaults(command_parser=p)
+    p.set_defaults(run=_cmd_search, command_parser=p)
 
-    p = sub.add_parser("admissible", help="list admissible traces for one q")
-    p.add_argument("--q", type=int, required=True)
+    sub.add_parser("admissible", parents=[q_arg],
+                   help="list admissible traces for one q").set_defaults(run=_cmd_admissible)
+    sub.add_parser("classify", parents=[q_arg, a_arg],
+                   help="degeneracy verdict for one (q, a)").set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("classify", help="degeneracy verdict for one (q, a)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = sub.add_parser("sequence", help="print trace/count terms for one (q, a)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    p = sub.add_parser("sequence", parents=[q_arg, a_arg],
+                       help="print trace/count terms for one (q, a)")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--squares-only", action="store_true")
+    p.set_defaults(run=_cmd_sequence)
 
-    p = sub.add_parser("realize", help="first curve realizing a trace")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    sub.add_parser("realize", parents=[q_arg, a_arg],
+                   help="first curve realizing a trace").set_defaults(run=_cmd_realize)
 
-    p = sub.add_parser("verify-extension",
+    p = sub.add_parser("verify-extension", parents=[q_arg, a_arg],
                        help="cross-check the recurrence against brute-force counts")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
     p.add_argument("--count-limit", type=_positive_int, default=DEFAULT_COUNT_LIMIT)
+    p.set_defaults(run=_cmd_verify_extension)
 
-    sub.add_parser("paper-check", help="diff the default search against the published table")
+    p = sub.add_parser("paper-check", help="diff the default search against the published table")
+    p.set_defaults(run=_cmd_paper_check)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args.out = _open_out(args)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -117,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -128,32 +137,9 @@ def main(argv: list[str] | None = None) -> int:
             args.out.close()
 
 
-def _dispatch(args) -> int:
-    if args.command == "search":
-        return _cmd_search(args)
-    if args.command == "admissible":
-        traces = admissible_traces(as_prime_power(args.q))
-        print(" ".join(str(a) for a in traces))
-        return EXIT_OK
-    if args.command == "classify":
-        m = classify_degeneracy(as_prime_power(args.q), args.a)
-        print("nondegenerate" if m is None else f"degenerate, m={m}")
-        return EXIT_OK
-    if args.command == "sequence":
-        return _cmd_sequence(args)
-    if args.command == "realize":
-        return _cmd_realize(args)
-    if args.command == "verify-extension":
-        return _cmd_verify_extension(args)
-    if args.command == "paper-check":
-        return _cmd_paper_check()
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def _cmd_search(args) -> int:
     config = SearchConfig(qmax=args.qmax, nmax=args.nmax,
-                          admissibility=args.admissibility,
-                          degeneracy=args.degenerate)
+                          admissibility=args.admissibility, degeneracy=args.degeneracy)
 
     def write(text: str) -> None:
         sys.stdout.write(text)
@@ -165,6 +151,17 @@ def _cmd_search(args) -> int:
     report = run_search(config, lambda hits: write(render_records(hits, args.fmt, header=False)))
     print(f"{len(report.hits)} hits from {report.pairs_scanned} (q, a) pairs "
           f"in {report.elapsed_seconds:.2f}s", file=sys.stderr)
+    return EXIT_OK
+
+
+def _cmd_admissible(args) -> int:
+    print(" ".join(str(a) for a in admissible_traces(as_prime_power(args.q))))
+    return EXIT_OK
+
+
+def _cmd_classify(args) -> int:
+    m = classify_degeneracy(as_prime_power(args.q), args.a)
+    print("nondegenerate" if m is None else f"degenerate, m={m}")
     return EXIT_OK
 
 
@@ -210,20 +207,14 @@ def _cmd_verify_extension(args) -> int:
     for term in sequence.trace_sequence(pp, args.a, nmax):
         counted = base_change_count(curve, term.n, limit=args.count_limit)
         status = "ok" if counted == term.N_n else "MISMATCH"
-        if counted != term.N_n:
-            mismatches += 1
+        mismatches += status != "ok"
         print(f"n={term.n} q^n={pp.q ** term.n} brute-force={counted} "
               f"recurrence={term.N_n} {status}")
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
-def _cmd_paper_check() -> int:
+def _cmd_paper_check(args) -> int:
     diff = paper_check(run_search(SearchConfig()))
-    _print_paper_check(diff)
-    return EXIT_OK if diff.clean else EXIT_MISMATCH
-
-
-def _print_paper_check(diff: PaperCheckReport) -> None:
     print(f"matching: {len(diff.matching)}")
     print(f"missing: {len(diff.missing)}")
     for triple in diff.missing:
@@ -241,3 +232,4 @@ def _print_paper_check(diff: PaperCheckReport) -> None:
         print(f"  - {line}")
     print("result: " + ("clean match (modulo documented deviations)"
                         if diff.clean else "MISMATCH"))
+    return EXIT_OK if diff.clean else EXIT_MISMATCH

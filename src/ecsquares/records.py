@@ -19,7 +19,12 @@ RECORD_FIELDS = ("q", "p", "b", "a", "n", "N", "u",
 
 TABLE_DIGITS = 12  # table format truncates N/u beyond this many digits
 
-_TABLE_WIDTHS = (3, 3, 2, 4, 5, TABLE_DIGITS + 12, TABLE_DIGITS + 12, 2, 3, 10)
+# Each table column is as wide as the larger of its header and its widest cell:
+# q, p and |a| below 1000, n below 100,000, N and u truncated with a digit count
+# of up to 9 digits, m <= 6, "yes" and "guaranteed".
+_TRUNCATED_WIDTH = len(f"{'9' * TABLE_DIGITS}…({10 ** 9 - 1} digits)")
+_CELL_WIDTHS = (3, 3, 2, 4, 5, _TRUNCATED_WIDTH, _TRUNCATED_WIDTH, 1, 3, len("guaranteed"))
+_TABLE_WIDTHS = tuple(max(len(name), cell) for name, cell in zip(RECORD_FIELDS, _CELL_WIDTHS))
 
 CSV_HEADER = ",".join(RECORD_FIELDS)
 TABLE_HEADER = "  ".join(
@@ -61,7 +66,7 @@ def _truncate(digits: str) -> str:
 
 
 # format -> (header line or None, row of a hit's values)
-_FORMATS = {
+FORMATS = {
     "jsonl": (None, _json_line),
     "csv": (CSV_HEADER, _csv_row),
     "table": (TABLE_HEADER, _table_row),
@@ -71,9 +76,9 @@ _FORMATS = {
 def render_records(hits: list[SquareHit], fmt: str, header: bool = True) -> str:
     """The hits' lines in one format, after its header line unless ``header`` is
     false; admissibility is computed once per (q, a) pair."""
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    head, row = _FORMATS[fmt]
+    head, row = FORMATS[fmt]
     head = "" if head is None or not header else head + "\n"
     admissible = {pair: waterhouse_admissible(*pair) for pair in {(h.q, h.a) for h in hits}}
     return head + "".join(row(_values(hit, admissible[hit.q, hit.a])) + "\n" for hit in hits)

@@ -1,13 +1,16 @@
+import dataclasses
 import gc
 import hashlib
 import json
+import re
 import sys
 import warnings
 
 import pytest
 
-from ecsquares import SearchConfig, guaranteed_square, run_search, sporadic_list
-from ecsquares.cli import main
+import ecsquares.cli
+from ecsquares import DomainError, SearchConfig, guaranteed_square, run_search, sporadic_list
+from ecsquares.cli import build_parser, main
 from ecsquares.records import CSV_HEADER, RECORD_FIELDS, render_records
 from ecsquares.traces import waterhouse_admissible
 
@@ -186,6 +189,47 @@ def test_verify_extension_count_limit_below_one_is_usage_error(capsys, limit):
     assert "nothing to verify" not in err
 
 
+def test_verify_extension_count_limit_not_an_int_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-extension", "--q", "2", "--a", "1",
+                             "--count-limit", "abc")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ecsquares verify-extension")
+    assert "error: argument --count-limit: invalid int value: 'abc'" in err
+
+
+def test_verify_extension_mismatch_exits_3(capsys, monkeypatch):
+    real_count = ecsquares.cli.base_change_count
+
+    def off_by_one(curve, n, limit):
+        return real_count(curve, n, limit=limit) + 1
+
+    monkeypatch.setattr(ecsquares.cli, "base_change_count", off_by_one)
+    code, out, _ = run_cli(capsys, "verify-extension", "--q", "2", "--a", "-1",
+                           "--count-limit", "64")
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 6  # 2^6 = 64
+    assert all(line.endswith(" MISMATCH") for line in lines)
+
+
+def test_paper_check_mismatch_exits_3(capsys, monkeypatch):
+    # One published hit dropped, one hit the table does not list, one wrong u.
+    report = run_search(SearchConfig())
+    dropped, wrong = report.hits[0], report.hits[1]
+    extra = guaranteed_square(2, -2, 8)
+    hits = [extra, dataclasses.replace(wrong, u=wrong.u + 1), *report.hits[2:]]
+    monkeypatch.setattr(ecsquares.cli, "run_search",
+                        lambda config: dataclasses.replace(report, hits=hits))
+    code, out, _ = run_cli(capsys, "paper-check")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[:5] == ["matching: 51", "missing: 1", f"  missing {dropped.triple()}",
+                         "extra: 1", f"  extra {extra.triple()}"]
+    assert lines[5] == f"verification failures: [{wrong.triple()}]"
+    assert lines[-1] == "result: MISMATCH"
+
+
 def test_verify_extension_inadmissible(capsys):
     code, _, err = run_cli(capsys, "verify-extension", "--q", "27", "--a", "3")
     assert code == 2
@@ -241,8 +285,6 @@ def test_search_out_file_matches_stdout(capsys, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
 def test_search_writes_the_header_once_then_each_pairs_rows(capsys, tmp_path, monkeypatch, fmt):
-    import ecsquares.cli
-
     calls = []
 
     def spy(hits, fmt, header=True):
@@ -354,6 +396,19 @@ def test_search_table_format_truncates_large_counts(capsys):
     assert "…(" in out  # q^200 has far more than 12 digits
 
 
+@pytest.mark.parametrize("argv", [
+    ("--qmax", "3", "--nmax", "400", "--degenerate", "include"),
+    ("--nmax", "200", "--admissibility", "hasse", "--degenerate", "include"),
+])
+def test_search_table_columns_are_aligned(capsys, argv):
+    # Counts of 100 or more digits are truncated to cells as wide as the rest.
+    code, out, _ = run_cli(capsys, "search", *argv, "--format", "table")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert any("digits)" in row for row in rows)
+    assert {len(line) for line in rows} == {len(header)}
+
+
 def test_search_degenerate_only_mode(capsys):
     code, out, _ = run_cli(capsys, "search", "--qmax", "4", "--nmax", "8",
                            "--degenerate", "only")
@@ -365,11 +420,11 @@ def test_search_degenerate_only_mode(capsys):
 # sha256 of stdout for `search --nmax 200 --admissibility hasse --degenerate
 # include` in each format; the bytes of every format are part of the output
 # contract.  5,452 records: 233 inadmissible, 53 nondegenerate, and 5,085
-# truncated table cells.
+# truncated table cells, each column as wide as its header and widest cell.
 FORMAT_SHA256 = {
     "jsonl": "073b8e846fd54872c59a6ab92299a35397e9723f5a69f76611900574586cb6ab",
     "csv": "086c2d190ce41d3c9c3fb30412778e1248c339a251cc0958b50c32df0bd5ff6d",
-    "table": "5d5c30a2bbeaac66008db619da83fe1bdea9a4ee2bcd440009cc9f223ae619db",
+    "table": "bbbad3080fa76d3148ee880f027a8fc97c3d10fe17d2b7fc8a3d0a2b6af81cc4",
 }
 
 
@@ -432,3 +487,46 @@ def test_counts_past_the_int_str_digit_limit_print_in_full(capsys):
     assert (fields["a_n"], fields["u"]) == (str(2 * 7 ** 2550), str(u))
     assert len(fields["N"]) == 4311 > 4300
     assert fields["N"][-40:] == str(u * u % 10 ** 40).zfill(40)
+
+
+# Per command: a good call, a usage error and a domain error.  paper-check
+# takes no input, so its domain error is raised by the search it runs.
+EVERY_COMMAND = (
+    (("search", "--qmax", "8", "--nmax", "40"), ("search", "--qmax", "x"),
+     ("search", "--qmax", "1")),
+    (("admissible", "--q", "4"), ("admissible", "--q"), ("admissible", "--q", "36")),
+    (("classify", "--q", "32", "--a", "8"), ("classify", "--q", "32"),
+     ("classify", "--q", "2", "--a", "5")),
+    (("sequence", "--q", "2", "--a", "-1", "--nmax", "11"), ("sequence", "--q", "2", "--a", "-1"),
+     ("sequence", "--q", "36", "--a", "0", "--nmax", "3")),
+    (("realize", "--q", "7", "--a", "-1"), ("realize", "--q", "7"),
+     ("realize", "--q", "7", "--a", "8")),
+    (("verify-extension", "--q", "2", "--a", "-1", "--count-limit", "64"),
+     ("verify-extension", "--q", "2", "--a", "1", "--count-limit", "0"),
+     ("verify-extension", "--q", "27", "--a", "3")),
+    (("paper-check",), ("paper-check", "--qmax", "10"), ("paper-check",)),
+)
+
+
+def test_every_command_twice_in_one_process(capsys, monkeypatch):
+    real_search = ecsquares.cli.run_search
+
+    def search(config, *args):
+        if refuse:
+            raise DomainError("search refused")
+        return real_search(config, *args)
+
+    monkeypatch.setattr(ecsquares.cli, "run_search", search)
+    build_parser.cache_clear()
+    rounds = []
+    for _ in range(2):
+        outcomes = []
+        for calls in EVERY_COMMAND:
+            for argv, kind in zip(calls, ("good", "usage", "domain")):
+                refuse = argv == ("paper-check",) and kind == "domain"
+                code, out, err = run_cli(capsys, *argv)
+                outcomes.append((argv, code, out, re.sub(r" in \d+\.\d\ds$", " in Ts", err)))
+        rounds.append(outcomes)
+    assert rounds[0] == rounds[1]
+    assert [code for _, code, _, _ in rounds[0]] == [0, 1, 2] * len(EVERY_COMMAND)
+    assert build_parser.cache_info().misses == 1

@@ -237,6 +237,23 @@ def test_paper_check_detects_fabricated_extra():
     assert not diff.clean
 
 
+def test_paper_check_under_hasse_screening():
+    # Hasse screening keeps the published (27, 3, 1), which no curve realizes.
+    diff = paper_check(run_search(SearchConfig(admissibility="hasse")))
+    assert diff.clean
+    assert len(diff.matching) == 53 and (27, 3, 1) in diff.matching
+    assert diff.missing == [] and diff.extra == [] and diff.verification_failures == []
+    assert diff.expected_deviations == [
+        "published entry (36, 1, 1) dropped: 36 is not a prime power, so no trace "
+        "sequence exists",
+        "published entry (27, 3, 1) retained under hasse screening (no curve realizes it)",
+        "verified omission (32, -3, 1) added: 32^1 + 1 - a_1 = 6^2 = 36 is admissible "
+        "and nondegenerate but absent from the published table",
+        "verified omission (32, 5, 3) added: 32^3 + 1 - a_3 = 182^2 = 33124 is "
+        "admissible and nondegenerate but absent from the published table",
+    ]
+
+
 def test_paper_check_rejects_wrong_ranges():
     report = run_search(SearchConfig(qmax=10, nmax=10))
     with pytest.raises(DomainError):
