@@ -24,7 +24,7 @@ from . import sequence
 from .curves import DEFAULT_COUNT_LIMIT, base_change_count, count_points_naive, realize_trace
 from .errors import DomainError, ResourceLimitError
 from .numeric import perfect_square_root
-from .records import FORMATS, render_records
+from .records import FORMATS, render_records, unlimited_int_str
 from .search import ADMISSIBILITY_MODES, DEGENERACY_MODES, SearchConfig, paper_check, run_search
 from .traces import admissible_traces, as_prime_power, classify_degeneracy
 
@@ -119,20 +119,15 @@ def main(argv: list[str] | None = None) -> int:
         args.out = _open_out(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Counts pass str()'s 4,300-digit guard (Python >= 3.10.7) from about
-    # n = 2,545 for q = 49; lift it for the command only, so parsing and
+    # str()'s digit guard is lifted for the command only, so parsing and
     # in-process callers keep theirs.
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit:
-        sys.set_int_max_str_digits(0)
     try:
-        return args.run(args)
+        with unlimited_int_str():
+            return args.run(args)
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     finally:
-        if digit_limit:
-            sys.set_int_max_str_digits(digit_limit)
         if args.out is not None:
             args.out.close()
 
@@ -147,8 +142,9 @@ def _cmd_search(args) -> int:
             args.out.write(text)
 
     # The header once, then each pair's rows as the search verifies them.
-    write(render_records([], args.fmt))
-    report = run_search(config, lambda hits: write(render_records(hits, args.fmt, header=False)))
+    write(render_records([], args.fmt, config=config))
+    report = run_search(config, lambda hits: write(
+        render_records(hits, args.fmt, header=False, config=config)))
     print(f"{len(report.hits)} hits from {report.pairs_scanned} (q, a) pairs "
           f"in {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK

@@ -12,9 +12,9 @@ the defining equation is used, which is the point: these counts
 independently validate the trace recurrence.  A base-changed curve has its
 coefficients in GF(q) inside GF(q^n), so x -> x^q maps the points above x
 one-to-one onto those above x^q (Silverman, *The Arithmetic of Elliptic
-Curves*, ch. V): the x-side runs once per orbit of that map, about q^n / n
-x, and each orbit counts times its size.  The log/Zech tables still cover
-all of GF(q^n).
+Curves*, ch. V): the x-side runs on the proper subfields of GF(q^n) once and
+on one x of every other orbit of that map n times, about q^n / n x.  The
+log/Zech tables still cover all of GF(q^n).
 
 Trace realization sweeps reduced families covering every isomorphism class,
 one row (a1, a2, a3, a4) at a time: the x-side is found once per row, then
@@ -32,7 +32,7 @@ x -> u^2 x scales A and a4 by u^4, a2 by u^2 and a3 by u^3 (class key: log
 mod gcd(n, q - 1) for u^n, zero apart); for p = 3, x -> x + a4 / a2 takes
 row (a2, a4) to (a2, 0); for p = 2, y -> y + s x moves a2 by s^2 + s, and
 x -> x + s^2 moves a4 by s^4 + a3 s (key: the coset of that image).  So a
-field costs at most 8 rows, about 8 q^2 x-steps: 1.5 s at q = 1024 (2 cores).
+field costs at most 8 rows, about 8 q^2 x-steps.
 The short form is singular for every coefficient choice in characteristic
 2, so the split families there are mandatory, not an optimization.
 """
@@ -129,18 +129,18 @@ def count_points_naive(curve: WeierstrassCurve) -> CurveCount:
     ctx = curve.ctx
     if not any(_discriminant_t(ctx, curve.coefficient_tuples())):
         raise DomainError(f"singular curve {curve}")
-    n = _count_curve(ctx, ctx.q, curve.coefficient_tuples())
+    n = _count_curve(ctx, 1, curve.coefficient_tuples())
     return CurveCount(curve=curve, N=n, a=ctx.q + 1 - n)
 
 
-def _count_curve(ctx: FieldContext, q0: int, quint) -> int:
+def _count_curve(ctx: FieldContext, n: int, quint) -> int:
     """Total points (with infinity) of y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6,
-    a curve with coefficients in the subfield GF(q0)."""
+    a curve with coefficients in the subfield of which ctx is a degree-n extension."""
     a1, a2, a3, a4, a6 = quint
-    return 1 + _affine_counter(ctx, q0, a1, a2, a3, a4)(a6)
+    return 1 + _affine_counter(ctx, n, a1, a2, a3, a4)(a6)
 
 
-def _affine_counter(ctx: FieldContext, q0: int, a1, a2, a3, a4):
+def _affine_counter(ctx: FieldContext, n: int, a1, a2, a3, a4):
     """a6 -> affine points of y^2 + L(x) y = x^3 + a2 x^2 + a4 x + a6, L = a1 x + a3.
 
     In odd characteristic the square is completed first, which leaves L = 1
@@ -150,8 +150,8 @@ def _affine_counter(ctx: FieldContext, q0: int, a1, a2, a3, a4):
     points as the y-side histogram holds at f(x) / L(x)^2.  Everything runs
     in the log domain: ``poly_logs`` finds log(x^3 + a2 x^2 + a4 x) and
     log L(x) once per x, after which each a6 costs one Zech addition per x.
-    With the coefficients, a6 included, in GF(q0), one x per orbit of
-    x -> x^q0 is evaluated and weighted by the orbit's size (module docstring).
+    With the coefficients, a6 included, in the subfield of which ctx is a
+    degree-n extension, x runs on ``frobenius_orbits(n)`` (module docstring).
     """
     hist = ctx.artin_schreier_counter() if ctx.p == 2 else ctx.square_counter()
     _, log, zech = ctx.log_tables()
@@ -170,11 +170,11 @@ def _affine_counter(ctx: FieldContext, q0: int, a1, a2, a3, a4):
         a1, a3 = ctx.zero_t, ctx.one_t
 
     groups = []
-    for size, positions in ctx.frobenius_orbits(q0):
+    for weight, positions in ctx.frobenius_orbits(n):
         cubic = ctx.poly_logs([ctx.one_t, a2, a4, ctx.zero_t], positions)
         lines = ctx.poly_logs([a1, a3], positions)
         points = [(u, -2 * l % m) for u, l in zip(cubic, lines) if l != m]
-        groups.append((size, len(positions) - len(points), points))
+        groups.append((weight, len(positions) - len(points), points))
 
     def affine(c, vertical, points) -> int:
         if c == m:
@@ -185,7 +185,7 @@ def _affine_counter(ctx: FieldContext, q0: int, a1, a2, a3, a4):
 
     def count(a6) -> int:
         c = log[ctx.index_of(add(a6, a6_shift))]
-        return sum(size * affine(c, vertical, points) for size, vertical, points in groups)
+        return sum(weight * affine(c, vertical, points) for weight, vertical, points in groups)
 
     return count
 
@@ -227,7 +227,7 @@ def _realization_table(pp: PrimePower) -> dict[int, tuple]:
         ctx = make_field_context(pp.p, pp.b)
         table = {}
         for prefix, a6s in _families(ctx):
-            count = _affine_counter(ctx, ctx.q, *prefix)
+            count = _affine_counter(ctx, 1, *prefix)
             for a6 in a6s:
                 table.setdefault(ctx.q - count(a6), prefix + (a6,))
         _REALIZATION_CACHE[key] = table
@@ -289,11 +289,11 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
     """Exhaustive point count of the curve over GF(q^n).
 
     Builds GF(q^n) explicitly, maps the coefficients through the canonical
-    field embedding, and counts one x per orbit of x -> x^q, weighted by the
-    orbit's size.  This is the independent oracle for the trace recurrence;
-    it consults neither the recurrence nor any trace or zeta function.  A
-    limit above the field-size guard (2^20) is refused before anything is
-    built.
+    field embedding, and counts the proper subfields' x once and one x per
+    other orbit of x -> x^q n times.  This is the independent oracle for the
+    trace recurrence; it consults neither the recurrence nor any trace or zeta
+    function.  A limit above the field-size guard (2^20) is refused before
+    anything is built.
     """
     ctx = curve.ctx
     if n < 1:
@@ -307,4 +307,4 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
     big = make_field_context(ctx.p, ctx.b * n)
     embedding = embed_field(ctx, big)
     quint = tuple(embedding.map_tuple(c) for c in curve.coefficient_tuples())
-    return _count_curve(big, ctx.q, quint)
+    return _count_curve(big, n, quint)

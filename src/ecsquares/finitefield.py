@@ -37,11 +37,11 @@ search (no root in any GF(p^d), d <= b/2, means irreducible) and embeddings
 (the small modulus's first root).  Given positions it evaluates only there:
 positions 0, d, 2 d, ..., q - 1 with d = (q - 1) / (q' - 1) are exactly the
 q' elements of the subfield GF(q'), the only place an embedding's root can
-lie.  ``frobenius_orbits(q')`` picks one position per orbit of x -> x^q'
-(k -> k q' mod (q - 1)), grouped by orbit size: a polynomial with
-coefficients in GF(q') takes q'-th powers of its values along an orbit, so
-the point counts of a curve defined over GF(q') evaluate about q / n
-positions, n = log_q' q, not q.
+lie.  A polynomial with coefficients in GF(q') takes q'-th powers of its
+values along an orbit of x -> x^q', and an orbit shorter than n = log_q' q
+lies in a proper subfield, so ``frobenius_orbits(n)`` gives a curve over
+GF(q') about q / n positions to count: those subfields once each, and one
+position of each other orbit n times.
 """
 
 from __future__ import annotations
@@ -330,40 +330,26 @@ class FieldContext:
                     for k, u in zip(positions, logs)]
         return logs
 
-    def frobenius_orbits(self, q0: int) -> list[tuple[int, Sequence[int]]]:
-        """[(size, positions), ...], by increasing size: one position per orbit
-        of x -> x^q0 (k -> k q0 mod (q - 1); x = 0 is its own) for a subfield
-        GF(q0), cached.  Sizes divide n = log_q0 q; q0 = q gives (1, range(q)).
-        """
-        groups = self._frobenius_orbits.get(q0)
+    def frobenius_orbits(self, n: int) -> list[tuple[int, Sequence[int]]]:
+        """[(1, S), (n, R)], cached, for this field as a degree-n extension of
+        GF(q0): S is x = 0 and the proper subfields' positions, R the least
+        position of each other orbit of x -> x^q0 (k -> k q0 mod (q - 1)), all
+        of them n long."""
+        groups = self._frobenius_orbits.get(n)
         if groups is None:
-            degrees = [self.b // d for d in range(1, self.b + 1)
-                       if self.b % d == 0 and self.p ** d == q0]
-            if not degrees:
-                raise DomainError(f"GF({q0}) is not a subfield of {self!r}")
-            n, m = degrees[0], self.q - 1
-            if n == 1:
-                groups = [(1, range(self.q))]
-            else:
-                # The smallest position of each orbit is the one that no
-                # k q0^j mod m, 0 < j < n, undercuts.
-                reps = range(m)
-                for j in range(1, n):
-                    t = q0 ** j
-                    reps = [k for k in reps if k <= k * t % m]
-                # An orbit of size j < n lies in GF(q0^j), j | n: the positions
-                # that (q - 1) / (q0^j - 1) divides.  The least such j, written
-                # last, is its size.
-                short: dict[int, int] = {}
-                for j in range(n - 1, 0, -1):
-                    if n % j == 0:
-                        short.update(dict.fromkeys(range(0, m, m // (q0 ** j - 1)), j))
-                by_size = {n: [k for k in reps if k not in short]}
-                for k in [k for k in reps if k in short]:
-                    by_size.setdefault(short[k], []).append(k)
-                by_size[1].append(m)
-                groups = sorted(by_size.items())
-            self._frobenius_orbits[q0] = groups
+            if n < 1 or self.b % n:
+                raise DomainError(f"{self!r} is not a degree-{n} extension of a subfield")
+            m, q0 = self.q - 1, self.p ** (self.b // n)
+            # An orbit's least position is the one no k q0^j mod m, 0 < j < n,
+            # undercuts.  An orbit shorter than n lies in a GF(q0^j) with j | n,
+            # that is q0^j - 1 | m: the positions that m / (q0^j - 1) divides.
+            short, reps = {m}, range(m)
+            for t in (q0 ** j for j in range(1, n)):
+                reps = [k for k in reps if k <= k * t % m]
+                if m % (t - 1) == 0:
+                    short.update(range(0, m, m // (t - 1)))
+            groups = [(1, sorted(short)), (n, [k for k in reps if k not in short])]
+            self._frobenius_orbits[n] = groups
         return groups
 
     def square_counter(self) -> list[int]:

@@ -29,9 +29,14 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
+def _square_flags(m: int) -> bytes:
+    """Byte r is 1 when r is a square modulo m, else 0."""
+    squares = {i * i % m for i in range(m)}
+    return bytes(r in squares for r in range(m))
+
+
 # Flags the 12 squares among the 64 residues modulo 64.
-_SQUARES_MOD_64 = {i * i % 64 for i in range(64)}
-_SQUARE_FLAGS_64 = bytes(r in _SQUARES_MOD_64 for r in range(64))
+_SQUARE_FLAGS_64 = _square_flags(64)
 
 
 def perfect_square_root(x: int) -> int | None:

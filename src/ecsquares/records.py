@@ -11,6 +11,11 @@ object with its keys in the fixed order, formatted directly: the bytes of
 
 from __future__ import annotations
 
+import contextlib
+import math
+import sys
+
+from .search import SearchConfig
 from .sequence import SquareHit
 from .traces import waterhouse_admissible
 
@@ -24,11 +29,40 @@ TABLE_DIGITS = 12  # table format truncates N/u beyond this many digits
 # of up to 9 digits, m <= 6, "yes" and "guaranteed".
 _TRUNCATED_WIDTH = len(f"{'9' * TABLE_DIGITS}…({10 ** 9 - 1} digits)")
 _CELL_WIDTHS = (3, 3, 2, 4, 5, _TRUNCATED_WIDTH, _TRUNCATED_WIDTH, 1, 3, len("guaranteed"))
-_TABLE_WIDTHS = tuple(max(len(name), cell) for name, cell in zip(RECORD_FIELDS, _CELL_WIDTHS))
 
 CSV_HEADER = ",".join(RECORD_FIELDS)
-TABLE_HEADER = "  ".join(
-    name.rjust(width) for name, width in zip(RECORD_FIELDS, _TABLE_WIDTHS))
+
+
+def _table_format(qmax: int = 2, nmax: int = 1):
+    """(header, row) of a table of hits with q < qmax and n <= nmax: rows stream,
+    so q, p, a (up to the Hasse bound of qmax - 1) and n widen up front."""
+    q, a = len(str(qmax - 1)), len(str(-math.isqrt(4 * (qmax - 1))))
+    bounds = (q, q, 0, a, len(str(nmax)), 0, 0, 0, 0, 0)
+    widths = [max(len(name), *cells) for name, *cells in zip(RECORD_FIELDS, _CELL_WIDTHS, bounds)]
+
+    def line(cells) -> str:
+        return "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
+
+    def row(values: tuple) -> str:
+        q, p, b, a, n, big_n, u, m, admissible, source = values
+        return line((str(q), str(p), str(b), str(a), str(n), _truncate(big_n), _truncate(u),
+                     "" if m is None else str(m), "yes" if admissible else "no", source))
+
+    return line(RECORD_FIELDS), row
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift str()'s int digit guard (Python >= 3.10.7) inside the block and
+    restore the caller's limit: counts pass 4,300 digits from n = 2,545, q = 49."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _values(hit: SquareHit, admissible: bool) -> tuple:
@@ -52,13 +86,6 @@ def _csv_row(values: tuple) -> str:
                      "true" if admissible else "false", source])
 
 
-def _table_row(values: tuple) -> str:
-    q, p, b, a, n, big_n, u, m, admissible, source = values
-    cells = (str(q), str(p), str(b), str(a), str(n), _truncate(big_n), _truncate(u),
-             "" if m is None else str(m), "yes" if admissible else "no", source)
-    return "  ".join(cell.rjust(width) for cell, width in zip(cells, _TABLE_WIDTHS))
-
-
 def _truncate(digits: str) -> str:
     if len(digits) <= TABLE_DIGITS:
         return digits
@@ -69,16 +96,21 @@ def _truncate(digits: str) -> str:
 FORMATS = {
     "jsonl": (None, _json_line),
     "csv": (CSV_HEADER, _csv_row),
-    "table": (TABLE_HEADER, _table_row),
+    "table": _table_format(),
 }
 
 
-def render_records(hits: list[SquareHit], fmt: str, header: bool = True) -> str:
+def render_records(hits: list[SquareHit], fmt: str, header: bool = True,
+                   config: SearchConfig | None = None) -> str:
     """The hits' lines in one format, after its header line unless ``header`` is
-    false; admissibility is computed once per (q, a) pair."""
+    false; admissibility is computed once per (q, a) pair.  A table is laid out
+    for every hit ``config``'s search can find, so its calls' rows align."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     head, row = FORMATS[fmt]
+    if fmt == "table" and config is not None:
+        head, row = _table_format(config.qmax, config.nmax)
     head = "" if head is None or not header else head + "\n"
     admissible = {pair: waterhouse_admissible(*pair) for pair in {(h.q, h.a) for h in hits}}
-    return head + "".join(row(_values(hit, admissible[hit.q, hit.a])) + "\n" for hit in hits)
+    with unlimited_int_str():
+        return head + "".join(row(_values(hit, admissible[hit.q, hit.a])) + "\n" for hit in hits)

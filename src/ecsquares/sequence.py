@@ -27,16 +27,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 # ``isqrt`` is unused here: perfbench's tracer wraps it at this module's name.
-from .numeric import is_prime, isqrt, perfect_square_root
+from .numeric import _square_flags, is_prime, isqrt, perfect_square_root
 from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
-
-
-def _square_flags(m: int) -> bytes:
-    """Byte r is 1 when r is a square modulo m, else 0."""
-    flags = bytearray(m)
-    for i in range(m):
-        flags[i * i % m] = 1
-    return bytes(flags)
 
 
 # square_hits_scan's sieve, pairwise coprime moduli with their square flags:

@@ -287,9 +287,9 @@ def test_search_out_file_matches_stdout(capsys, tmp_path):
 def test_search_writes_the_header_once_then_each_pairs_rows(capsys, tmp_path, monkeypatch, fmt):
     calls = []
 
-    def spy(hits, fmt, header=True):
+    def spy(hits, fmt, header=True, config=None):
         calls.append(({(hit.q.q, hit.a) for hit in hits}, header))
-        return render_records(hits, fmt, header)
+        return render_records(hits, fmt, header, config)
 
     monkeypatch.setattr(ecsquares.cli, "render_records", spy)
     out_file = tmp_path / "hits.out"
@@ -409,6 +409,17 @@ def test_search_table_columns_are_aligned(capsys, argv):
     assert {len(line) for line in rows} == {len(header)}
 
 
+def test_search_table_columns_widen_to_the_config_bounds(capsys):
+    # q = 1009 and 1024 have 4 digits: every column is laid out for q < qmax
+    # before the first row streams, so the header is widened too.
+    code, out, _ = run_cli(capsys, "search", "--qmax", "1030", "--nmax", "2",
+                           "--degenerate", "include", "--format", "table")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == 640 and any(row.lstrip().startswith("1024 ") for row in rows)
+    assert {len(line) for line in rows} == {len(header)}
+
+
 def test_search_degenerate_only_mode(capsys):
     code, out, _ = run_cli(capsys, "search", "--qmax", "4", "--nmax", "8",
                            "--degenerate", "only")
@@ -487,6 +498,29 @@ def test_counts_past_the_int_str_digit_limit_print_in_full(capsys):
     assert (fields["a_n"], fields["u"]) == (str(2 * 7 ** 2550), str(u))
     assert len(fields["N"]) == 4311 > 4300
     assert fields["N"][-40:] == str(u * u % 10 ** 40).zfill(40)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="str() has no digit guard before Python 3.10.7")
+def test_render_records_prints_counts_past_the_int_str_digit_limit():
+    """Library callers render what run_search returns, whatever its size, and
+    keep their own str() guard afterwards."""
+    hit = guaranteed_square(49, 14, 3000)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default guard
+    try:
+        line = render_records([hit], "jsonl")
+        after = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError):
+            str(hit.N)
+        sys.set_int_max_str_digits(0)  # to read the digits back
+        record = json.loads(line)
+        assert (int(record["N"]), int(record["u"])) == (hit.N, hit.u)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert after == 4300
+    assert len(record["N"]) > 4300
+    assert (record["q"], record["a"], record["n"]) == (49, 14, 3000)
 
 
 # Per command: a good call, a usage error and a domain error.  paper-check

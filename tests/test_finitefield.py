@@ -392,36 +392,43 @@ def test_frobenius_orbits_partition_the_positions_for_every_subfield(small_conte
     for ctx in _table_contexts(small_contexts):
         exp, log, _ = ctx.log_tables()
         tuples = ctx.element_tuples()
-        for d in (d for d in range(1, ctx.b + 1) if ctx.b % d == 0):
-            q0, n = ctx.p ** d, ctx.b // d
-            groups = ctx.frobenius_orbits(q0)
-            assert ctx.frobenius_orbits(q0) is groups
-            if n == 1:
-                assert groups == [(1, range(ctx.q))], ctx
-                continue
-            assert sum(size * len(positions) for size, positions in groups) == ctx.q
-            covered = []
-            for size, positions in groups:
-                assert n % size == 0, (ctx, q0, size)
-                for k in positions:
-                    # The orbit of x = g^k (x = 0 at k = q - 1) under x -> x^q0.
-                    x = ctx.zero_t if k == ctx.q - 1 else tuples[exp[k]]
-                    orbit, y = [], x
-                    while True:
-                        orbit.append(log[ctx.index_of(y)])
-                        y = ctx.pow_t(y, q0)
-                        if y == x:
-                            break
-                    assert len(orbit) == size, (ctx, q0, k)
-                    covered += orbit
-            assert sorted(covered) == list(range(ctx.q)), (ctx, q0)
+        m = ctx.q - 1
+
+        def orbit(k, q0):
+            # The orbit of x = g^k (x = 0 at k = q - 1) under x -> x^q0, walked by pow_t.
+            x = ctx.zero_t if k == m else tuples[exp[k]]
+            out, y = [], x
+            while True:
+                out.append(log[ctx.index_of(y)])
+                y = ctx.pow_t(y, q0)
+                if y == x:
+                    return out
+
+        for n in (n for n in range(1, ctx.b + 1) if ctx.b % n == 0):
+            q0 = ctx.p ** (ctx.b // n)
+            groups = ctx.frobenius_orbits(n)
+            assert ctx.frobenius_orbits(n) is groups
+            (one, short), (weight, reps) = groups
+            assert (one, weight) == (1, n), (ctx, n)
+            # S: x = 0 and the positions of every proper subfield GF(q0^j), j | n.
+            subfields = {m}
+            for j in (j for j in range(1, n) if n % j == 0):
+                subfields.update(k for k in range(m) if ctx.pow_t(tuples[exp[k]], q0 ** j)
+                                 == tuples[exp[k]])
+            assert sorted(short) == sorted(subfields) and len(short) == len(set(short)), (ctx, n)
+            covered = list(short)
+            for k in reps:
+                walk = orbit(k, q0)
+                assert len(walk) == n and k == min(walk), (ctx, n, k)
+                covered += walk
+            assert sorted(covered) == list(range(ctx.q)), (ctx, n)
 
 
 def test_frobenius_orbits_refuse_a_non_subfield():
     ctx = make_field_context(2, 4)
-    for q0 in (1, 3, 8, 32, 256):
-        with pytest.raises(DomainError, match="not a subfield"):
-            ctx.frobenius_orbits(q0)
+    for n in (0, 3, 5, 8):
+        with pytest.raises(DomainError, match="not a degree"):
+            ctx.frobenius_orbits(n)
 
 
 def test_index_of_is_enumeration_position():
