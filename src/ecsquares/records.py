@@ -7,6 +7,12 @@ of (q, a).  N and u routinely exceed any fixed-width integer by thousands of
 bits, so the machine formats never truncate them.  A JSONL line is one JSON
 object with its keys in the fixed order, formatted directly: the bytes of
 ``json.dumps`` with separators ``(", ", ": ")``, as the tests check.
+
+A degenerate pair's cycle rows, n = km with N = (c^k - 1)^2, are nearly all
+of a degenerate search's output.  Their digits come from exact ``decimal``
+powers of c stepped from row to row, in time linear in the digits, and are
+checked against the hit's u; other rows use ``str()``, quadratic in the
+digits on Python 3.11.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 import sys
 
 from .search import SearchConfig
-from .sequence import SquareHit
+from .sequence import SquareHit, _cycle_root
 from .traces import waterhouse_admissible
 
 RECORD_FIELDS = ("q", "p", "b", "a", "n", "N", "u",
@@ -65,10 +71,64 @@ def unlimited_int_str():
             sys.set_int_max_str_digits(limit)
 
 
-def _values(hit: SquareHit, admissible: bool) -> tuple:
-    """The hit's values in ``RECORD_FIELDS`` order."""
+def _str_digits(hit: SquareHit) -> tuple[str, str]:
+    return str(hit.N), str(hit.u)
+
+
+_LOW_DIGITS = 18  # cycle rows are checked against their hit on this many low digits
+
+
+def _cycle_digits():
+    """(digits, context): ``digits`` gives a hit's (N, u) strings, through exact
+    ``decimal`` powers for cycle rows, inside ``context``.
+
+    For a degenerate pair's hit at n = km, u = |c^k - 1| and N = c^(2k) - 2c^k + 1,
+    with c^k and c^(2k) kept per pair and stepped to each row's k: times c and
+    c^2 as k advances by one, times c^(k - j) and its square on a jump from j,
+    and from k = 0 again when k goes back.  Each row costs time linear in its
+    digits, where str() of an int is quadratic.  The digits must agree with the
+    hit's u on the low 18 digits (N with u^2), or ``RuntimeError`` is raised.
+    Other rows go through str().  The context is the exact one of CPython
+    3.12's ``_pylong``: nothing may round.
+    """
+    import decimal
+
+    one, low_mod, powers = decimal.Decimal(1), 10 ** _LOW_DIGITS, {}
+
+    def digits(hit: SquareHit) -> tuple[str, str]:
+        m = hit.degenerate_m
+        if m is None or hit.n % m:
+            return _str_digits(hit)
+        pair, k = (hit.q.q, hit.a), hit.n // m
+        if pair not in powers:
+            c = decimal.Decimal(_cycle_root(hit.q, hit.a, m))
+            powers[pair] = [c, c * c, 0, one, one]
+        c, c2, j, c_k, c_2k = state = powers[pair]
+        if k < j:
+            j, c_k, c_2k = 0, one, one
+        if k == j + 1:
+            c_k, c_2k = c_k * c, c_2k * c2
+        elif k > j:
+            step = c ** (k - j)
+            c_k, c_2k = c_k * step, c_2k * (step * step)
+        state[2:] = k, c_k, c_2k
+        big_n, u = str(c_2k - 2 * c_k + 1), str(abs(c_k - 1))
+        low = hit.u % low_mod
+        if (int(u[-_LOW_DIGITS:]) != low
+                or int(big_n[-_LOW_DIGITS:]) != low * low % low_mod):
+            raise RuntimeError(f"cycle row digits disagree with the hit: {hit}")
+        return big_n, u
+
+    return digits, decimal.localcontext(decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]))
+
+
+def _values(hit: SquareHit, admissible: bool, digits) -> tuple:
+    """The hit's values in ``RECORD_FIELDS`` order, N and u from ``digits``."""
     pp = hit.q
-    return (pp.q, pp.p, pp.b, hit.a, hit.n, str(hit.N), str(hit.u),
+    big_n, u = digits(hit)
+    return (pp.q, pp.p, pp.b, hit.a, hit.n, big_n, u,
             hit.degenerate_m, admissible, hit.source)
 
 
@@ -104,13 +164,22 @@ def render_records(hits: list[SquareHit], fmt: str, header: bool = True,
                    config: SearchConfig | None = None) -> str:
     """The hits' lines in one format, after its header line unless ``header`` is
     false; admissibility is computed once per (q, a) pair.  A table is laid out
-    for every hit ``config``'s search can find, so its calls' rows align."""
+    for every hit ``config``'s search can find, so its calls' rows align.
+    Cycle rows print from exact decimal powers (``_cycle_digits``); ``decimal``
+    is imported only when there are any."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     head, row = FORMATS[fmt]
     if fmt == "table" and config is not None:
         head, row = _table_format(config.qmax, config.nmax)
     head = "" if head is None or not header else head + "\n"
-    admissible = {pair: waterhouse_admissible(*pair) for pair in {(h.q, h.a) for h in hits}}
-    with unlimited_int_str():
-        return head + "".join(row(_values(hit, admissible[hit.q, hit.a])) + "\n" for hit in hits)
+    admissible = {}
+    for hit in hits:
+        if (hit.q.q, hit.a) not in admissible:
+            admissible[hit.q.q, hit.a] = waterhouse_admissible(hit.q, hit.a)
+    digits, exact = _str_digits, contextlib.nullcontext()
+    if any(hit.degenerate_m and hit.n % hit.degenerate_m == 0 for hit in hits):
+        digits, exact = _cycle_digits()
+    with unlimited_int_str(), exact:
+        return head + "".join(row(_values(hit, admissible[hit.q.q, hit.a], digits)) + "\n"
+                              for hit in hits)

@@ -97,7 +97,11 @@ def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchR
         found = square_hits_scan(pp, a, config.nmax)
         terms = trace_sequence(pp, a, found[-1].n) if found else ()
         for hit in found:
-            term = next((t for t in terms if t.n >= hit.n), None)
+            for term in terms:
+                if term.n >= hit.n:
+                    break
+            else:
+                term = None
             if term is None or not verify_hit(hit, term):
                 raise RuntimeError(f"hit failed re-verification: {hit}")
         if on_pair is not None:

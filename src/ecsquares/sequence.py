@@ -109,7 +109,8 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
     doubling, and tests it against each; a survivor of both is a hit when
     ``perfect_square_root`` of the exact count succeeds.  For a degenerate
     pair of order m and n = km the count is (c^k - 1)^2 with c = a_m / 2, as
-    in ``guaranteed_square``, a square stage 1 always keeps.
+    in ``guaranteed_square``, a square stage 1 always keeps, so c^k takes one
+    multiply per cycle n.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
@@ -117,6 +118,7 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
         raise DomainError(f"nmax must be >= 1, got {nmax}")
     qv, width = pp.q, min(_WINDOW, nmax)
     c = None if m is None else _cycle_root(pp, a, m)
+    c_k = 1  # c^k at the last cycle n = km
     walks, jumps = _stage_one(qv, a, m, nmax, width)
     mod2, hits = math.prod(ell for ell, _ in jumps), []
     for lo in range(1, nmax + 1, width):
@@ -130,7 +132,9 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
             n, i = lo + i, live.find("1", i + 1)
             u = None
             if m is not None and n % m == 0:
-                u = abs(c ** (n // m) - 1)
+                # A square is never excluded, so every cycle n comes, in turn.
+                c_k *= c
+                u = abs(c_k - 1)
             else:
                 x = pow(qv, n, mod2) + 1 - trace_term(pp, a, n, mod2)
                 if all(table[x % ell] for ell, table in jumps):

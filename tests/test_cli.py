@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 import ecsquares.cli
 from ecsquares import DomainError, SearchConfig, guaranteed_square, run_search, sporadic_list
 from ecsquares.cli import build_parser, main
-from ecsquares.records import CSV_HEADER, RECORD_FIELDS, render_records
+from ecsquares.records import CSV_HEADER, FORMATS, RECORD_FIELDS, render_records, unlimited_int_str
 from ecsquares.traces import waterhouse_admissible
 
 
@@ -521,6 +522,55 @@ def test_render_records_prints_counts_past_the_int_str_digit_limit():
     assert after == 4300
     assert len(record["N"]) > 4300
     assert (record["q"], record["a"], record["n"]) == (49, 14, 3000)
+
+
+def _plain_rows(hits, fmt, digits):
+    """The rows render_records prints, with N and u from ``digits`` (the hits'
+    str(u * u), str(u) pairs) and admissibility per row."""
+    row = FORMATS[fmt][1]
+    return "".join(row((h.q.q, h.q.p, h.q.b, h.a, h.n, big_n, u, h.degenerate_m,
+                        waterhouse_admissible(h.q, h.a), h.source)) + "\n"
+                   for h, (big_n, u) in zip(hits, digits))
+
+
+@functools.cache
+def _cycle_row_cases():
+    """Hit lists whose cycle rows step the decimal powers every way, each with
+    its str() digits: every degenerate pair with q < 50 at n <= 1000 (k up by
+    one, sporadic rows between), lone hits at large k for c = 7, -343 and -27
+    at odd and even k (one jump from k = 0), a row repeated after another
+    pair's, two pairs interleaved (k up by three), and one pair descending."""
+    every = run_search(SearchConfig(nmax=1000, degeneracy="only")).hits
+    lone = [[guaranteed_square(q, a, m * k)]
+            for q, a, m in ((49, 14, 1), (49, 7, 3), (3, 3, 6)) for k in (1000, 1001)]
+    seven, minus_343 = (guaranteed_square(49, a, n) for a, n in ((14, 1), (7, 3)))
+    pair_7 = [hit for hit in every if (hit.q.q, hit.a) == (49, 7)]
+    pair_14 = [hit for hit in every if (hit.q.q, hit.a) == (49, 14)]
+    interleaved = [hit for both in zip(pair_7, pair_14[::3]) for hit in both]
+    cases = [every, *lone, [seven, minus_343, seven], interleaved, pair_14[::-1]]
+    with unlimited_int_str():
+        return [(hits, [(str(hit.u * hit.u), str(hit.u)) for hit in hits]) for hits in cases]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
+def test_cycle_rows_print_the_digits_of_str(fmt):
+    for hits, digits in _cycle_row_cases():
+        rows = render_records(hits, fmt, header=False).splitlines()
+        expected = _plain_rows(hits, fmt, digits).splitlines()
+        # The first differing row, not a diff of megabytes of text.
+        differing = next((i for i, pair in enumerate(zip(rows, expected))
+                          if pair[0] != pair[1]), None)
+        assert (len(rows), differing) == (len(expected), None)
+
+
+def test_cycle_row_disagreeing_with_its_hit_raises():
+    hit = guaranteed_square(49, 7, 300)
+    assert render_records([hit], "jsonl")
+    wrong = dataclasses.replace(hit, u=hit.u + 1)
+    with pytest.raises(RuntimeError, match="disagree"):
+        render_records([hit, wrong], "jsonl")
+    with pytest.raises(RuntimeError, match="disagree"):
+        render_records([wrong], "csv")
 
 
 # Per command: a good call, a usage error and a domain error.  paper-check

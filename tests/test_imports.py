@@ -25,3 +25,20 @@ def test_no_runtime_dependencies():
     lines = [line.strip() for line in project.splitlines()
              if line.strip().startswith("dependencies")]
     assert lines == ["dependencies = []"]
+
+
+def test_decimal_is_imported_only_to_print_cycle_rows():
+    # Cycle rows print through decimal; searches without them never load it.
+    src = pathlib.Path(ecsquares.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, sys\n"
+        "from ecsquares.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['search', '--nmax', '100'])\n"
+        "    main(['verify-extension', '--q', '9', '--a', '2'])\n"
+        "    loaded = 'decimal' in sys.modules\n"
+        "    main(['search', '--qmax', '5', '--nmax', '8', '--degenerate', 'only'])\n"
+        "print(loaded, 'decimal' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False True"
