@@ -13,14 +13,16 @@ N_n is a non-residue modulo one of the sieve moduli listed here, which proves
 it is not a square.  Stage 1 walks (a_n, a_(n+1), q^n) modulo each walked
 modulus until the state repeats and tiles what one period excludes: always
 the prime powers 64, 9, 7, 5, 13 and 11, and per pair the primes l in 17..199
-with both eigenvalues in GF(l) while many n survive.  Stage 2 reaches each
-survivor by doubling modulo the other primes' product.  Survivors of both are
-confirmed exactly, so a term of O(n) bits is built only for the few n that
-may be squares.
+with both eigenvalues in GF(l) while many n survive.  A walk depends only on
+m, q mod m and a mod m, so each is made once per process and tiled per pair.
+Stage 2 reaches each survivor by doubling modulo the other primes' product.
+Survivors of both are confirmed exactly, so a term of O(n) bits is built only
+for the few n that may be squares.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ from .traces import PrimePower, _checked_q, as_prime_power, classify_degeneracy
 # 199, walked or left to stage 2 by ``_stage_one``.  Then K and the window.
 _WALK_TABLES = tuple((m, _square_flags(m)) for m in (64, 9, 7, 5, 13, 11))
 _JUMP_TABLES = tuple((m, _square_flags(m)) for m in range(17, 200) if is_prime(m))
+_SQUARE_FLAGS = dict(_WALK_TABLES + _JUMP_TABLES)
 _WALK_BUDGET = 8
 _WINDOW = 1 << 16
 
@@ -104,13 +107,13 @@ def trace_term(q: "int | PrimePower", a: int, n: int, mod: int = 0) -> int:
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
     """All n <= nmax where the point count over GF(q^n) is a perfect square.
 
-    Stage 1 (``_stage_one``) excludes n ``_WINDOW`` at a time.  Stage 2 takes
-    N_n modulo the unwalked jump primes' product at each survivor, by
-    doubling, and tests it against each; a survivor of both is a hit when
-    ``perfect_square_root`` of the exact count succeeds.  For a degenerate
-    pair of order m and n = km the count is (c^k - 1)^2 with c = a_m / 2, as
-    in ``guaranteed_square``, a square stage 1 always keeps, so c^k takes one
-    multiply per cycle n.
+    Stage 1 (``_stage_one``) excludes n ``_WINDOW`` at a time, by walks each
+    residue class shares.  Stage 2 takes N_n modulo the unwalked jump primes'
+    product at each survivor, by doubling, and tests it against each; a
+    survivor of both is a hit when ``perfect_square_root`` of the exact count
+    succeeds.  For a degenerate pair of order m and n = km the count is
+    (c^k - 1)^2 with c = a_m / 2, as in ``guaranteed_square``, a square stage
+    1 always keeps, so c^k takes one multiply per cycle n.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
@@ -152,7 +155,8 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
     not divide q, D = a^2 - 4q is a square or 0 mod l (both eigenvalues in
     GF(l), period dividing l - 1) and l - 1 <= _WALK_BUDGET * S, for S the
     first window's live n less the cycle squares, scaled to nmax.  A walk
-    that does not return within l - 1 steps leaves l a jump prime.
+    that does not return within l - 1 steps leaves l a jump prime.  Each walk,
+    failed ones too, is cached by residue class; the choices stay per pair.
     """
     walks = [(mod, *_stage_one_walk(qv, a, mod, flags, width)) for mod, flags in _WALK_TABLES]
     # The first window's n no walk excludes, and those a cycle root settles.
@@ -176,20 +180,31 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
 
 def _stage_one_walk(qv: int, a: int, m: int, flags: bytes, width: int,
                     limit: int | None = None) -> tuple[int, int, int] | None:
-    """(mu, lam, excluded) for (a_n, a_(n+1), q^n) mod m walked from n = 1,
-    or None when no state repeats within limit steps.
+    """(mu, lam, excluded), bit n - 1 of excluded flagging N_n a non-residue
+    mod m, or None: the cached ``_walk_period`` (flags, read from m), its
+    period tiled with doubling shifts to past n = mu + lam + width."""
+    if (period := _walk_period(m, qv % m, a % m, limit)) is None:
+        return None
+    mu, lam, head = period
+    tiled, length = head >> mu - 1, lam
+    while length < width + lam:
+        tiled, length = tiled | tiled << length, 2 * length
+    return mu, lam, head & (1 << mu - 1) - 1 | tiled << mu - 1
 
-    n = mu + lam is the first n whose state repeats, that of mu.  When q is a
-    unit mod m the step is invertible, so only the state at n = 1 is compared.
-    Bit n - 1 of excluded flags N_n a non-residue mod m, tiled with doubling
-    shifts to past n = mu + lam + width.
-    """
-    start = a_n, a_n1, q_n = a0, a1, q0 = a % m, (a * a - 2 * qv) % m, qv % m
-    seen, keep, head, n = {start: 1}, math.gcd(qv, m) > 1, 0, 0
+
+@functools.cache
+def _walk_period(m: int, q: int, a: int, limit: int | None) -> tuple[int, int, int] | None:
+    """(mu, lam, bits) for (a_n, a_(n+1), q^n) mod m walked from n = 1 and
+    residues q and a, or None when no state repeats within limit steps: bit
+    n - 1 flags N_n a non-residue, n < mu + lam, the first n whose state is
+    that of mu.  For a unit q only the state at n = 1 is compared."""
+    flags = _SQUARE_FLAGS[m]
+    start = a_n, a_n1, q_n = a0, a1, q0 = a, (a * a - 2 * q) % m, q
+    seen, keep, head, n = {start: 1}, math.gcd(q, m) > 1, 0, 0
     while True:
         head |= (not flags[(q_n + 1 - a_n) % m]) << n
         n += 1
-        a_n, a_n1, q_n = a_n1, (a * a_n1 - qv * a_n) % m, q_n * qv % m
+        a_n, a_n1, q_n = a_n1, (a * a_n1 - q * a_n) % m, q_n * q % m
         if keep:
             if (a_n, a_n1, q_n) in seen:
                 break
@@ -199,11 +214,7 @@ def _stage_one_walk(qv: int, a: int, m: int, flags: bytes, width: int,
         if n == limit:
             return None
     mu = seen[a_n, a_n1, q_n]
-    lam = n + 1 - mu
-    tiled, length = head >> mu - 1, lam
-    while length < width + lam:
-        tiled, length = tiled | tiled << length, 2 * length
-    return mu, lam, head & (1 << mu - 1) - 1 | tiled << mu - 1
+    return mu, n + 1 - mu, head
 
 
 def _cycle_root(pp: PrimePower, a: int, m: int) -> int:

@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 
 from ecsquares import (
     DomainError,
+    SearchConfig,
     base_change_count,
     classify_degeneracy,
     guaranteed_square,
     hasse_bound,
     realize_trace,
+    run_search,
     sequence,
     sporadic_list,
     square_hits_scan,
     trace_sequence,
     trace_term,
 )
-from ecsquares.search import prime_powers_below
+from ecsquares.search import prime_powers_below, search_pairs
 from ecsquares.traces import as_prime_power
 
 # (q, a) over every prime power q < 50 and its whole Hasse range, degenerate
@@ -399,6 +401,78 @@ def test_split_prime_walks_prove_their_periods():
     flags = dict(sequence._JUMP_TABLES)[17]
     assert (-7) % 17 not in SQUARES_MOD[17]
     assert sequence._stage_one_walk(2, -1, 17, flags, 100, 16) is None
+
+
+def residue_classes(m, flags):
+    """The default search's pairs that walk m, grouped by (q mod m, a mod m):
+    every pair for a prime power, the split or ramified ones for a jump prime."""
+    classes = {}
+    for pp, a in search_pairs(SearchConfig()):
+        q = pp.q
+        if m in WALK_MODULI or (q % m and flags[(a * a - 4 * q) % m]):
+            classes.setdefault((q % m, a % m), []).append((q, a))
+    return classes
+
+
+def test_pairs_of_a_residue_class_share_one_exact_walk():
+    """Pairs of the search's range with the same q and a mod a walked modulus
+    get the same cached period, and it is exact for each of them: its excluded
+    bits are the non-residues of the pair's own N_n for n < mu + 2 lam.  The
+    tiled masks from a warm cache equal those from a cold one at every window
+    width.  Each modulus's largest class is checked, and its largest class with
+    q not a unit mod m, whose walk compares every state, not only the first."""
+    checked, masks = [], {}
+    for m, flags in sequence._WALK_TABLES + sequence._JUMP_TABLES[:4]:
+        limit = None if m in WALK_MODULI else m - 1
+        classes = sorted(residue_classes(m, flags).values(), key=len, reverse=True)
+        shared = [c for c in classes if len(c) > 1]
+        ramified = [c for c in shared if math.gcd(c[0][0], m) > 1]
+        for pairs in shared[:1] + ramified[:1]:
+            period = sequence._walk_period(m, pairs[0][0] % m, pairs[0][1] % m, limit)
+            for q, a in pairs:
+                assert sequence._walk_period(m, q % m, a % m, limit) is period
+                mu, lam, excluded = sequence._stage_one_walk(q, a, m, flags, 1000, limit)
+                assert (mu, lam) == period[:2]
+                for n in range(1, mu + 2 * lam):
+                    count = q ** n + 1 - trace_term(q, a, n)
+                    assert (excluded >> n - 1) & 1 == (count % m not in SQUARES_MOD[m]), (q, a, m, n)
+                for width in (1, 1000, 1 << 16):
+                    args = q, a, m, flags, width, limit
+                    masks[args] = sequence._stage_one_walk(*args)
+            checked.append((m, len(pairs), math.gcd(pairs[0][0], m) > 1))
+    # Classes of up to 22 pairs share a walk.  The walks with a pre-period,
+    # mod 64 and 9 for q = 2, 4, 8, 16, 32 and 3, are one pair each here.
+    assert max(size for _, size, _ in checked) == 22
+    assert {m for m, _, ramified in checked if ramified} == {9, 7, 5, 13, 11}
+    for args, mask in masks.items():
+        sequence._walk_period.cache_clear()
+        assert sequence._stage_one_walk(*args) == mask
+
+
+def test_search_caches_periods_not_masks_and_reuses_them(monkeypatch):
+    """After a search, each cached walk holds no more than its pre-period and
+    one period, not a tiled mask; an identical second search walks nothing
+    new; and a capped walk that fails is cached as a failure."""
+    walk_period, values = sequence._walk_period, {}
+
+    def recording_walk_period(*key):
+        values[key] = walk_period(*key)
+        return values[key]
+
+    walk_period.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(sequence, "_walk_period", recording_walk_period)
+        first = run_search(SearchConfig())
+    assert len(values) == walk_period.cache_info().currsize
+    assert all(v is None or v[2].bit_length() < v[0] + v[1] for v in values.values())
+    misses = walk_period.cache_info().misses
+    assert run_search(SearchConfig()).hits == first.hits and len(first.hits) == 52
+    assert walk_period.cache_info().misses == misses
+    walk_period.cache_clear()
+    for _ in ("cold", "warm"):
+        assert sequence._stage_one_walk(2, -1, 17, sequence._SQUARE_FLAGS[17], 100, 16) is None
+    info = walk_period.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_scan_memory_does_not_grow_with_nmax():
