@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .numeric import prime_power_decompose
-from .sequence import SequenceTerm, SquareHit, sporadic_list, square_hits_scan, trace_sequence
+from .sequence import (SequenceTerm, SquareHit, _recurrence, sporadic_list,
+                       square_hits_scan, trace_sequence)
 from .traces import (
     PrimePower,
     classify_degeneracy,
@@ -84,10 +85,11 @@ def search_pairs(config: SearchConfig) -> list[tuple[PrimePower, int]]:
 def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchReport:
     """Scan all selected pairs and re-verify every hit with ``verify_hit``.
 
-    A pair walks ``trace_sequence`` once, to its last hit, and hands each
-    hit its term; a hit out of order, repeated, or not a square raises
-    ``RuntimeError``.  Hits come in canonical (q, a, n) order without a
-    sort: the pairs are in (q, a) order and each scan yields ascending n.
+    A pair walks the bare recurrence (``sequence._recurrence``) once, to
+    its last hit, builds a ``SequenceTerm`` only at each hit's n and hands
+    it to ``verify_hit``; a hit out of order, repeated, or not a square
+    raises ``RuntimeError``.  Hits come in canonical (q, a, n) order without
+    a sort: the pairs are in (q, a) order and each scan yields ascending n.
     ``on_pair``, if given, is called with each pair's hits once verified.
     """
     start = time.perf_counter()
@@ -95,10 +97,11 @@ def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchR
     hits = []
     for pp, a in pairs:
         found = square_hits_scan(pp, a, config.nmax)
-        terms = trace_sequence(pp, a, found[-1].n) if found else ()
+        steps = _recurrence(pp.q, a, found[-1].n) if found else ()
         for hit in found:
-            for term in terms:
-                if term.n >= hit.n:
+            for step in steps:
+                if step[0] >= hit.n:
+                    term = SequenceTerm._make(step)
                     break
             else:
                 term = None
@@ -118,11 +121,12 @@ def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchR
 def verify_hit(hit: SquareHit, term: SequenceTerm | None = None) -> bool:
     """Confirm u^2 = N_n = q^n + 1 - a_n, with N_n from the plain recurrence.
 
-    ``term`` is the hit's ``trace_sequence`` term, from a walk its caller
-    shares across a pair's hits; without it, the recurrence is walked to n
-    here, O(n) steps.  The recurrence is independent of both the Lucas
-    doubling and the cycle-square closed form that the scan uses.  A hit
-    with n < 1, or a term at another n, is rejected.
+    ``term`` is the hit's term of the recurrence, from a walk its caller
+    shares across a pair's hits (``run_search`` builds it only at the hit's
+    n); without it, ``trace_sequence`` is walked to n here, O(n) steps.  The
+    recurrence is independent of both the Lucas doubling and the
+    cycle-square closed form that the scan uses.  A hit with n < 1, or a
+    term at another n, is rejected.
     """
     if hit.n < 1:
         return False

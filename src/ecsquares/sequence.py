@@ -6,11 +6,12 @@ never materialized: a_n satisfies the integer recurrence
 
     a_0 = 2,  a_1 = a,  a_n = a * a_(n-1) - q * a_(n-2),
 
-``trace_sequence`` evaluates it exactly in arbitrary precision (a_1000 for
-q = 49 needs about 5615 bits), for listing terms, and ``trace_term`` by
-doubling, exactly or modulo m.  ``square_hits_scan`` drops an n only when
-N_n is a non-residue modulo one of the sieve moduli listed here, which proves
-it is not a square.  Stage 1 walks (a_n, a_(n+1), q^n) modulo each walked
+``_recurrence`` is the one loop over it, exact in arbitrary precision
+(a_1000 for q = 49 needs about 5615 bits), yielding bare (n, a_n, N_n)
+tuples; ``trace_sequence`` wraps them into ``SequenceTerm``s for listing,
+and ``trace_term`` evaluates one term by doubling, exactly or modulo m.
+``square_hits_scan`` drops an n only when N_n is a non-residue modulo one of
+the sieve moduli listed here, which proves it is not a square.  Stage 1 walks (a_n, a_(n+1), q^n) modulo each walked
 modulus until the state repeats and tiles what one period excludes: always
 the prime powers 64, 9, 7, 5, 13 and 11, and per pair the primes l in 17..199
 with both eigenvalues in GF(l) while many n survive.  A walk depends only on
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 # ``isqrt`` is unused here: perfbench's tracer wraps it at this module's name.
@@ -43,8 +44,7 @@ _WALK_BUDGET = 8
 _WINDOW = 1 << 16
 
 
-@dataclass(frozen=True)
-class SequenceTerm:
+class SequenceTerm(NamedTuple):
     """One extension count: N_n = q^n + 1 - a_n points over GF(q^n)."""
 
     n: int
@@ -52,9 +52,9 @@ class SequenceTerm:
     N_n: int
 
 
-@dataclass(frozen=True)
-class SquareHit:
-    """A perfect-square point count u*u = q^n + 1 - a_n, with provenance."""
+class SquareHit(NamedTuple):
+    """A perfect-square point count u*u = q^n + 1 - a_n, with provenance.
+    Immutable and hashable; ``hit._replace(u=...)`` makes a changed copy."""
 
     q: PrimePower
     a: int
@@ -72,15 +72,20 @@ class SquareHit:
 
 
 def trace_sequence(q: "int | PrimePower", a: int, nmax: int) -> Iterator[SequenceTerm]:
-    """Terms n = 1..nmax of the trace recurrence, streamed in O(1) memory."""
+    """Terms n = 1..nmax of the trace recurrence, streamed in O(1) memory:
+    q, a and nmax checked, then each ``_recurrence`` tuple as a term."""
     qv = _checked_q(q, a).q
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax}")
-    prev, cur = 2, a
-    q_pow = 1
+    yield from map(SequenceTerm._make, _recurrence(qv, a, nmax))
+
+
+def _recurrence(qv: int, a: int, nmax: int) -> Iterator[tuple[int, int, int]]:
+    """(n, a_n, N_n) for n = 1..nmax by the plain recurrence, unchecked."""
+    prev, cur, q_pow = 2, a, 1
     for n in range(1, nmax + 1):
         q_pow *= qv
-        yield SequenceTerm(n=n, a_n=cur, N_n=q_pow + 1 - cur)
+        yield n, cur, q_pow + 1 - cur
         prev, cur = cur, a * cur - qv * prev
 
 
@@ -143,8 +148,7 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
                 if all(table[x % ell] for ell, table in jumps):
                     u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
             if u is not None:
-                hits.append(SquareHit(q=pp, a=a, n=n, u=u,
-                                      degenerate_m=m, source="scan"))
+                hits.append(SquareHit(pp, a, n, u, m, "scan"))
     return hits
 
 
@@ -163,9 +167,9 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
     live, settled = (1 << width) - 1, width // m if m else 0
     for *_, excluded in walks:
         live &= ~excluded
-    jumps, disc = [], a * a - 4 * qv
+    jumps, disc, survivors = [], a * a - 4 * qv, live.bit_count() - settled
     for i, (ell, flags) in enumerate(_JUMP_TABLES):
-        if (ell - 1) * width > _WALK_BUDGET * (live.bit_count() - settled) * nmax:
+        if (ell - 1) * width > _WALK_BUDGET * survivors * nmax:
             # S only falls and l only grows, so no later prime is walked either.
             return walks, jumps + list(_JUMP_TABLES[i:])
         eigenvalues_in_gf_ell = qv % ell and flags[disc % ell]
@@ -173,6 +177,7 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
         if walk:
             walks.append((ell, *walk))
             live &= ~walk[2]
+            survivors = live.bit_count() - settled
         else:
             jumps.append((ell, flags))
     return walks, jumps

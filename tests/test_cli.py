@@ -219,7 +219,7 @@ def test_paper_check_mismatch_exits_3(capsys, monkeypatch):
     report = run_search(SearchConfig())
     dropped, wrong = report.hits[0], report.hits[1]
     extra = guaranteed_square(2, -2, 8)
-    hits = [extra, dataclasses.replace(wrong, u=wrong.u + 1), *report.hits[2:]]
+    hits = [extra, wrong._replace(u=wrong.u + 1), *report.hits[2:]]
     monkeypatch.setattr(ecsquares.cli, "run_search",
                         lambda config: dataclasses.replace(report, hits=hits))
     code, out, _ = run_cli(capsys, "paper-check")
@@ -566,7 +566,7 @@ def test_cycle_rows_print_the_digits_of_str(fmt):
 def test_cycle_row_disagreeing_with_its_hit_raises():
     hit = guaranteed_square(49, 7, 300)
     assert render_records([hit], "jsonl")
-    wrong = dataclasses.replace(hit, u=hit.u + 1)
+    wrong = hit._replace(u=hit.u + 1)
     with pytest.raises(RuntimeError, match="disagree"):
         render_records([hit, wrong], "jsonl")
     with pytest.raises(RuntimeError, match="disagree"):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -164,11 +163,11 @@ def test_recurrence_verifier_agrees_with_doubling(q, a):
             assert u * u == count
         hit = SquareHit(q=pp, a=a, n=n, u=u, degenerate_m=m, source="scan")
         assert verify_hit(hit) == (u * u == count)
-        assert not verify_hit(dataclasses.replace(hit, u=u + 1))
+        assert not verify_hit(hit._replace(u=u + 1))
 
 
 def _wrong_u(hits, i):
-    hits[i] = dataclasses.replace(hits[i], u=hits[i].u + 1)
+    hits[i] = hits[i]._replace(u=hits[i].u + 1)
 
 
 def _swapped(hits, i):
@@ -195,6 +194,38 @@ def test_shared_walk_rejects_corrupted_scan_output(monkeypatch, corrupt, i):
     monkeypatch.setattr(ecsquares.search, "square_hits_scan", scan)
     with pytest.raises(RuntimeError, match="re-verification"):
         run_search(config)
+
+
+def test_run_search_verifies_each_hit_once_at_its_own_term(monkeypatch):
+    calls = []
+
+    def counting(hit, term=None):
+        calls.append((hit, term))
+        return verify_hit(hit, term)
+
+    monkeypatch.setattr(ecsquares.search, "verify_hit", counting)
+    report = run_search(SearchConfig(qmax=10, nmax=60, degeneracy="include"))
+    assert [hit for hit, _ in calls] == report.hits
+    assert any(hit.degenerate_m for hit in report.hits)
+    for hit, term in calls:
+        # The shared walk's term at the hit's n, equal to exact doubling.
+        a_n = trace_term(hit.q, hit.a, hit.n)
+        assert type(term) is SequenceTerm
+        assert term == (hit.n, a_n, hit.q.q ** hit.n + 1 - a_n)
+
+
+def test_run_search_rejects_a_wrong_u_mid_pair(monkeypatch):
+    # (8, 4) has m = 4: its walk passes the off-cycle n between hits.
+    def scan(pp, a, nmax):
+        hits = square_hits_scan(pp, a, nmax)
+        if (pp.q, a) == (8, 4):
+            i = len(hits) // 2
+            hits[i] = hits[i]._replace(u=hits[i].u + 1)
+        return hits
+
+    monkeypatch.setattr(ecsquares.search, "square_hits_scan", scan)
+    with pytest.raises(RuntimeError, match=r"re-verification: .*q=8.*a=4"):
+        run_search(SearchConfig(qmax=10, nmax=60, degeneracy="include"))
 
 
 def _default_report_with(hits):

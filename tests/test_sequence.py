@@ -83,6 +83,32 @@ def test_sequence_rejects_bad_nmax():
         square_hits_scan(49, 14, -5)
 
 
+# Nondegenerate pairs, and degenerate ones with m = 1, 2, 3, 4 and 6.
+@pytest.mark.parametrize("q, a", [(2, -1), (47, -1), (49, 14), (17, 0), (9, 3),
+                                  (2, 2), (3, 3)])
+def test_trace_sequence_terms_are_exact(q, a):
+    terms = list(trace_sequence(q, a, 80))
+    exact = [(n, trace_term(q, a, n), q ** n + 1 - trace_term(q, a, n))
+             for n in range(1, 81)]
+    assert terms == exact
+    assert all(type(t) is sequence.SequenceTerm for t in terms)
+    assert (terms[-1].n, terms[-1].a_n, terms[-1].N_n) == exact[-1]
+
+
+def test_terms_and_hits_are_immutable_hashable_records():
+    term = next(trace_sequence(2, -1, 1))
+    hit = guaranteed_square(49, 14, 3)
+    for record, name in ((term, "N_n"), (term, "n"), (hit, "u"), (hit, "q")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert {hit, guaranteed_square(49, 14, 3)} == {hit}
+    assert hash(term) == hash(next(trace_sequence(2, -1, 1)))
+    wrong = hit._replace(u=hit.u + 1)
+    assert (wrong.u, wrong.N, wrong.triple()) == (hit.u + 1, (hit.u + 1) ** 2, (49, 14, 3))
+    assert wrong != hit and wrong._replace(u=hit.u) == hit
+    assert hit.source == "guaranteed" and hit.u == 7 ** 3 - 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(HASSE_PAIRS, st.integers(min_value=1, max_value=300))
 @example((49, 14), 300)  # degenerate, m = 1
