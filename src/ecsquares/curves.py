@@ -148,8 +148,9 @@ def _affine_counter(ctx: FieldContext, n: int, a1, a2, a3, a4):
     L^2 (z^2 + z), and an x with L(x) = 0 has exactly one point because
     squaring is a bijection.  Either way an x with L(x) != 0 has as many
     points as the y-side histogram holds at f(x) / L(x)^2.  Everything runs
-    in the log domain: ``poly_logs`` finds log(x^3 + a2 x^2 + a4 x) and
-    log L(x) once per x, after which each a6 costs one Zech addition per x.
+    in the log domain: ``poly_logs`` finds log(x^2 + a2 x + a4) and log L(x)
+    once per x, the pass that keeps the x with L(x) != 0 adds log x, and
+    then each a6 costs one Zech addition per x.
     With the coefficients, a6 included, in the subfield of which ctx is a
     degree-n extension, x runs on ``frobenius_orbits(n)`` (module docstring).
     """
@@ -171,9 +172,10 @@ def _affine_counter(ctx: FieldContext, n: int, a1, a2, a3, a4):
 
     groups = []
     for weight, positions in ctx.frobenius_orbits(n):
-        cubic = ctx.poly_logs([ctx.one_t, a2, a4, ctx.zero_t], positions)
+        quadratic = ctx.poly_logs([ctx.one_t, a2, a4], positions)
         lines = ctx.poly_logs([a1, a3], positions)
-        points = [(u, -2 * l % m) for u, l in zip(cubic, lines) if l != m]
+        points = [(m if u == m or k == m else (u + k) % m, -2 * l % m)
+                  for k, u, l in zip(positions, quadratic, lines) if l != m]
         groups.append((weight, len(positions) - len(points), points))
 
     def affine(c, vertical, points) -> int:

@@ -21,8 +21,9 @@ is immutable after construction apart from internally cached lookup tables.
 ``mul_t`` is the one multiply, by Kronecker substitution: u and v, packed one
 digit per w-bit slot with w = (b (p - 1)^2).bit_length(), give one int product
 whose 2b - 1 digits are the coefficients of u(t) v(t); the top b - 1 reduce by
-cached rows t^b, ..., t^(2b-2).  Inverses are u^(q-2).  The exp table and
-embeddings sum digits times the rows u * t^j (``_t_rows``, ``_combine``).
+cached rows t^b, ..., t^(2b-2).  Inverses are u^(q-2).  The exp table sums
+multiples of the rows g * t^j (``_t_rows``) and embeddings sum digits times
+rows (``_combine``).
 
 The int-indexed tables come from index arithmetic, never from listing the
 field.  An element's index is its coefficients read as base-p digits
@@ -30,18 +31,20 @@ field.  An element's index is its coefficients read as base-p digits
 g^k, for g the first primitive element (zero's log is the sentinel q - 1).
 ``log_tables`` holds exp, log and the Zech table log(1 + g^k), so that
 log(g^i + g^j) = i + zech[j - i] (mod q - 1); its exp table walks the powers
-of g on packed ints.  On them ``poly_logs``, Horner's rule at every element
-at once, is the one polynomial evaluator: for the x-side of the point counts
-(their y-side histograms are read off the group structure), the modulus
-search (no root in any GF(p^d), d <= b/2, means irreducible) and embeddings
-(the small modulus's first root).  Given positions it evaluates only there:
-positions 0, d, 2 d, ..., q - 1 with d = (q - 1) / (q' - 1) are exactly the
-q' elements of the subfield GF(q'), the only place an embedding's root can
-lie.  A polynomial with coefficients in GF(q') takes q'-th powers of its
-values along an orbit of x -> x^q', and an orbit shorter than n = log_q' q
-lies in a proper subfield, so ``frobenius_orbits(n)`` gives a curve over
-GF(q') about q / n positions to count: those subfields once each, and one
-position of each other orbit n times.
+of g on packed ints, one add of two half-table entries per power, and zech
+is one map of exp through a rotated log.  On them ``poly_logs``, Horner's
+rule at every element at once, is the one polynomial evaluator: for the
+x-side of the point counts (their y-side histograms are read off the group
+structure), the modulus search (no root in any GF(p^d), d <= b/2, means
+irreducible) and embeddings (the small modulus's first root).  Given
+positions it evaluates only there: positions 0, d, 2 d, ..., q - 1 with
+d = (q - 1) / (q' - 1) are exactly the q' elements of the subfield GF(q'),
+the only place an embedding's root can lie.  A polynomial with
+coefficients in GF(q') takes q'-th powers of its values along an orbit of
+x -> x^q', and an orbit shorter than n = log_q' q lies in a proper
+subfield, so ``frobenius_orbits(n)`` gives a curve over GF(q') about q / n
+positions to count: those subfields once each, and one position of each
+other orbit n times.
 """
 
 from __future__ import annotations
@@ -242,19 +245,22 @@ class FieldContext:
         w-bit slots, in index order, with w = (2p - 2).bit_length(): the sum
         of two digits below p then stays inside its slot.  Times g is linear,
         so the images of every high half and every low half of the digits
-        are tabulated once as packed ints, keyed by the packed half, and one
-        step is two lookups and one add.  A slotwise conditional subtract
-        reduces the sum: adding 2^(w-1) - p to every slot sets a slot's top
-        bit exactly when its digit is at least p, and p times those bits,
-        shifted down, is taken off.  The same two keys read the power's
-        index from two more half-tables, so no tuple is built per element.
+        are tabulated, and one step is two lookups and one add, which stays
+        unreduced: a half's table is keyed by digits up to 2p - 2 and holds
+        the image of those digits mod p, with their index share above the
+        image's w b bits.  So one add gives this power's index and the next
+        power's image.  Each entry is reduced once, as the tables are built,
+        by a slotwise conditional subtract: adding 2^(w-1) - p to every slot
+        sets a slot's top bit exactly when its digit is at least p, and p
+        times those bits, shifted down, is taken off.  Adding 1 steps an
+        index's leading digit, so zech is log rotated by q / p, read at exp.
         """
         if self._log_tables is None:
             q, m, p, b = self.q, self.q - 1, self.p, self.b
             w = (2 * p - 2).bit_length()
             h = b // 2
-            shift = w * (b - h)
-            mask = (1 << shift) - 1
+            shift, image_bits = w * (b - h), w * b
+            mask, hi_mask = (1 << shift) - 1, (1 << (w * h)) - 1
             ones = sum(1 << (w * j) for j in range(b))
             top, bias = ones << (w - 1), ones * ((1 << (w - 1)) - p)
 
@@ -264,31 +270,32 @@ class FieldContext:
                     x = (x << w) | c
                 return x
 
-            # rows[j] = g * t^j; an index's leading h digits and trailing
-            # b - h digits each pick a tabulated image and index share.
+            # rows[j] = g * t^j adds a key digit d <= 2p - 2 and d mod p times its
+            # image and index share, reduced; list slots that no key names pad.
             rows = self._t_rows(self._primitive_element())
             halves = []
             for half_rows, scale in ((rows[:h], p ** (b - h)), (rows[h:], 1)):
-                image, index = {}, {}
-                for i, d in enumerate(itertools.product(range(p), repeat=len(half_rows))):
-                    key = pack(d)
-                    image[key] = pack(self._combine(d, half_rows))
-                    index[key] = i * scale
-                halves.append((image, index))
-            (hi_image, hi_index), (lo_image, lo_index) = halves
-            exp: list[int] = []
-            x = pack(self.one_t)
-            for _ in range(m):
-                hi, lo = x >> shift, x & mask
-                exp.append(hi_index[hi] + lo_index[lo])
-                x = hi_image[hi] + lo_image[lo]
-                x -= (((x + bias) & top) >> (w - 1)) * p
+                keys, values = [0], [0]
+                for j, row in enumerate(half_rows):
+                    share = scale * p ** (len(half_rows) - 1 - j) << image_bits
+                    multiples = [pack(self.smul_t(c, row)) + c * share for c in range(p)]
+                    multiples += multiples[:-1]
+                    keys = [k << w | d for k in keys for d in range(2 * p - 1)]
+                    values = [x - (((x + bias) & top) >> (w - 1)) * p
+                              for v in values for c in multiples for x in [v + c]]
+                table = [0] * (1 << (w * len(half_rows)))
+                for k, v in zip(keys, values):
+                    table[k] = v
+                halves.append(table)
+            hi, lo = halves
+            s = pack(self.one_t)
+            exp = [(s := hi[s >> shift & hi_mask] + lo[s & mask]) >> image_bits
+                   for _ in range(m)]
+            del halves, hi, lo  # q entries each at p = 2
             log = [m] * q
             for k, i in enumerate(exp):
                 log[i] = k
-            # Adding 1 steps the constant coefficient, the leading digit of an index.
-            step = q // self.p
-            zech = [log[(i + step) % q] for i in exp]
+            zech = list(map((log[q // p:] + log[:q // p]).__getitem__, exp))
             self._log_tables = (exp, log, zech)
         return self._log_tables
 
@@ -315,19 +322,21 @@ class FieldContext:
         Position k < q - 1 holds x = g^k and position q - 1 holds x = 0; a
         zero value reads q - 1.  This is Horner's rule in the log domain:
         multiplying by x adds the position, and adding a coefficient g^c
-        takes one Zech step.
+        takes one Zech step.  Leading zero coefficients cost no pass.
         """
         _, log, zech = self.log_tables()
         m = self.q - 1
         if positions is None:
             positions = range(self.q)
-        logs = [log[self.index_of(coeffs[0])]] * len(positions)
-        for coeff in coeffs[1:]:
+        cs = list(itertools.dropwhile(m.__eq__, [log[self.index_of(c)] for c in coeffs])) or [m]
+        logs = [cs[0]] * len(positions)
+        for c in cs[1:]:
             # Times x (zero if u or x is), then plus g^c: nothing at c = m, else a Zech step.
-            c = log[self.index_of(coeff)]
-            logs = [c if u == m or k == m else (u + k) % m if c == m
-                    else m if (w := zech[(u + k - c) % m]) == m else (c + w) % m
-                    for k, u in zip(positions, logs)]
+            if c == m:
+                logs = [m if u == m or k == m else (u + k) % m for k, u in zip(positions, logs)]
+            else:
+                logs = [c if u == m or k == m else m if (w := zech[(u + k - c) % m]) == m
+                        else (c + w) % m for k, u in zip(positions, logs)]
         return logs
 
     def frobenius_orbits(self, n: int) -> list[tuple[int, Sequence[int]]]:
@@ -345,10 +354,11 @@ class FieldContext:
             # that is q0^j - 1 | m: the positions that m / (q0^j - 1) divides.
             short, reps = {m}, range(m)
             for t in (q0 ** j for j in range(1, n)):
-                reps = [k for k in reps if k <= k * t % m]
+                # k = k t mod m puts k on a short orbit, which this drops too.
+                reps = [k for k in reps if k < k * t % m]
                 if m % (t - 1) == 0:
                     short.update(range(0, m, m // (t - 1)))
-            groups = [(1, sorted(short)), (n, [k for k in reps if k not in short])]
+            groups = [(1, sorted(short)), (n, reps)]
             self._frobenius_orbits[n] = groups
         return groups
 
@@ -361,17 +371,19 @@ class FieldContext:
 
     def artin_schreier_counter(self) -> list[int]:
         """Number of y with y*y + y = v, indexed by log v (characteristic 2):
-        the map is additive with kernel {0, 1}, so its image, hit twice, is the
-        span of the images of t, ..., t^(b-1) (1's is 0); indices XOR."""
+        the map is additive with kernel {0, 1}, so its image, hit twice, is a
+        hyperplane, the v with absolute trace v + v^2 + ... + v^(2^(b-1)) 0.
+        That trace is additive and indices add by XOR, so marks for every
+        index double once per index bit, and exp reads them in log order."""
         if self._as_counter is None:
-            _, log, _ = self.log_tables()
-            span = [0]
-            for t_j in self._t_rows(self.gen_t)[:-1]:
-                v = self.index_of(self.add_t(self.mul_t(t_j, t_j), t_j))
-                span += [s ^ v for s in span]
-            self._as_counter = [0] * self.q
-            for i in span:
-                self._as_counter[log[i]] += 2
+            exp, log, _ = self.log_tables()
+            m, marks, swap = self.q - 1, b"\x02", bytes.maketrans(b"\x00\x02", b"\x02\x00")
+            for bit in range(self.b):
+                k, trace = log[1 << bit], 0
+                for j in range(self.b):
+                    trace ^= exp[(k << j) % m]
+                marks += marks.translate(swap) if trace else marks
+            self._as_counter = list(bytes(map(marks.__getitem__, exp))) + [2]
         return self._as_counter
 
     # The tuple square, cube and 1/x^2 tables are gone: in the log domain

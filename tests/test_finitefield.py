@@ -292,6 +292,13 @@ LOG_TABLES_SHA256 = {
     (3, 9): "1bd72b3060104c10c45754942e64ab7f405c8e85ee1db5b705017775228ed915",
     (5, 6): "caf5e1a9a96ba02a95ba13faf7aba8d0498af9c486cd742cc322a89a4788ded0",
     (7, 4): "862217c1178372353c3cf576e4e9f73e2866297433f9ae1080866e5dfe372fb2",
+    # b = 1 leaves the walk's high half empty, odd b splits the digits
+    # unevenly, and p >= 11 widens the slots.
+    (2, 13): "ce7094bc9acf8127ed3ad494c7f0240095f5696eb14320c4ad1411189e575040",
+    (3, 7): "2da573c8e8c670157c00763e44e5642ad10219ea3fa3f25f6f8ac7c39a55658d",
+    (11, 3): "48621f93b69419ba72d2ba6844a2a4e99e438d5c5ea0f190fca500aff10f55cb",
+    (13, 2): "dcbcb755d4438f5b59f5a5df4d32064b77e3f31f116da1edd01ad881580dab86",
+    (1021, 1): "9cbd4abe5ced809f2d40828bbcb5365f7acdf6483652a69d4aa792d6df7f8b70",
 }
 
 
@@ -338,7 +345,7 @@ def test_y_side_histogram_matches_enumeration(small_contexts):
         if ctx.p == 2:
             hist = ctx.artin_schreier_counter()
             values = [ctx.add_t(reference_mul(ctx, y, y), y) for y in ctx.element_tuples()]
-            # Each span entry adds 2 at its log: q / 2 distinct entries, no repeats.
+            # Half the field has trace 0, each of those v hit twice.
             assert Counter(hist) == {2: q // 2, 0: q // 2}, ctx
         else:
             hist = ctx.square_counter()
@@ -369,6 +376,23 @@ def test_poly_logs_matches_schoolbook_horner(small_contexts):
                     coeffs[zeroed] = ctx.zero_t
                 expected = [log[ctx.index_of(_schoolbook_eval(ctx, coeffs, x))] for x in xs]
                 assert ctx.poly_logs(coeffs) == expected, (ctx, coeffs)
+
+
+def test_poly_logs_over_runs_of_zero_coefficients(small_contexts):
+    rng = random.Random(31)
+    for ctx in _table_contexts(small_contexts):
+        exp, log, _ = ctx.log_tables()
+        tuples = ctx.element_tuples()
+        xs = [tuples[i] for i in exp] + [ctx.zero_t]
+        zero = ctx.zero_t
+        for coeffs in ([zero, zero] + [rng.choice(tuples) for _ in range(3)],
+                       [zero, zero, ctx.one_t], [zero] * 4, [zero]):
+            given = list(coeffs)
+            expected = [log[ctx.index_of(_schoolbook_eval(ctx, coeffs, x))] for x in xs]
+            assert ctx.poly_logs(coeffs) == expected, (ctx, coeffs)
+            assert coeffs == given
+        # The zero polynomial reads zero, log q - 1, at every position.
+        assert ctx.poly_logs([zero, zero, zero]) == [ctx.q - 1] * ctx.q
 
 
 def test_poly_logs_reads_the_given_positions(small_contexts):
