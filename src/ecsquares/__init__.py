@@ -19,7 +19,6 @@ from .curves import (
 from .errors import DomainError, ResourceLimitError
 from .finitefield import (
     FieldContext,
-    FieldElement,
     embed_field,
     make_field_context,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CurveCount",
     "DomainError",
     "FieldContext",
-    "FieldElement",
     "PaperCheckReport",
     "PrimePower",
     "ResourceLimitError",

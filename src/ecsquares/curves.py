@@ -46,7 +46,6 @@ from .errors import DomainError, ResourceLimitError
 from .finitefield import (
     DEFAULT_FIELD_SIZE_LIMIT,
     FieldContext,
-    FieldElement,
     embed_field,
     make_field_context,
     render_coeffs,
@@ -59,31 +58,28 @@ REALIZATION_Q_LIMIT = 1024  # realize_trace sweeps at most 8 rows of q counts (m
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over one field."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over the field ctx, each
+    coefficient a tuple of ctx.b digits in range(p), lowest degree first."""
 
-    a1: FieldElement
-    a2: FieldElement
-    a3: FieldElement
-    a4: FieldElement
-    a6: FieldElement
+    ctx: FieldContext
+    a1: tuple[int, ...]
+    a2: tuple[int, ...]
+    a3: tuple[int, ...]
+    a4: tuple[int, ...]
+    a6: tuple[int, ...]
 
     def __post_init__(self):
-        ctx = self.a1.ctx
-        for c in (self.a2, self.a3, self.a4, self.a6):
-            if c.ctx is not ctx:
-                raise DomainError("curve coefficients belong to different fields")
-
-    @property
-    def ctx(self) -> FieldContext:
-        return self.a1.ctx
+        ctx, digits = self.ctx, range(self.ctx.p)
+        for c in self.coefficient_tuples():
+            if not (isinstance(c, tuple) and len(c) == ctx.b and all(d in digits for d in c)):
+                raise DomainError(f"curve coefficient {c!r} is not an element of {ctx!r}")
 
     def coefficient_tuples(self):
-        return (self.a1.coeffs, self.a2.coeffs, self.a3.coeffs,
-                self.a4.coeffs, self.a6.coeffs)
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def __str__(self) -> str:
         ctx = self.ctx
-        coeffs = ",".join(str(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
+        coeffs = ",".join(map(render_coeffs, self.coefficient_tuples()))
         return (f"[{coeffs}] over GF({ctx.p}^{ctx.b})"
                 f" mod {render_coeffs(ctx.modulus)}")
 
@@ -98,14 +94,17 @@ class CurveCount:
 
 
 def short_weierstrass(ctx: FieldContext, A, B) -> WeierstrassCurve:
-    """Convenience constructor for y^2 = x^3 + A x + B."""
-    return WeierstrassCurve(ctx.zero, ctx.zero, ctx.zero, ctx.element(A), ctx.element(B))
+    """y^2 = x^3 + A x + B, for A and B ints (constants, reduced mod p) or
+    coefficient sequences."""
+    A, B = (ctx.smul_t(c, ctx.one_t) if isinstance(c, int) else tuple(c) for c in (A, B))
+    zero = ctx.zero_t
+    return WeierstrassCurve(ctx, zero, zero, zero, A, B)
 
 
-def discriminant(curve: WeierstrassCurve) -> FieldElement:
-    """The discriminant; the curve is elliptic exactly when this is nonzero."""
-    ctx = curve.ctx
-    return FieldElement(ctx, _discriminant_t(ctx, curve.coefficient_tuples()))
+def discriminant(curve: WeierstrassCurve) -> tuple[int, ...]:
+    """The discriminant as a coefficient tuple; the curve is elliptic exactly
+    when it is nonzero."""
+    return _discriminant_t(curve.ctx, curve.coefficient_tuples())
 
 
 def _discriminant_t(ctx: FieldContext, quint) -> tuple[int, ...]:
@@ -212,9 +211,7 @@ def realize_trace(q: "int | PrimePower", a: int) -> WeierstrassCurve | None:
     quint = table.get(a)
     if quint is None:
         return None
-    ctx = make_field_context(pp.p, pp.b)
-    a1, a2, a3, a4, a6 = (FieldElement(ctx, c) for c in quint)
-    return WeierstrassCurve(a1, a2, a3, a4, a6)
+    return WeierstrassCurve(make_field_context(pp.p, pp.b), *quint)
 
 
 def _realization_table(pp: PrimePower) -> dict[int, tuple]:

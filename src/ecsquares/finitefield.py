@@ -8,9 +8,9 @@ Representation conventions:
   lowest degree first, and is always the lexicographically smallest monic
   irreducible polynomial of that degree, so a given (p, b) produces the same
   field representation in every run.
-* Elements are coefficient tuples of length b over Z_p, lowest degree first,
-  wrapped in ``FieldElement``.  Enumeration order is lexicographic on those
-  tuples, starting at zero.
+* Elements are plain coefficient tuples of length b over Z_p, lowest degree
+  first.  Enumeration order is lexicographic on those tuples, starting at
+  zero.
 * For b = 1 the modulus is the polynomial x and elements behave as plain
   residues modulo p.
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .numeric import _least_prime_factor, is_prime
@@ -99,7 +99,6 @@ class FieldContext:
         self.modulus = modulus
         self.zero_t: tuple[int, ...] = (0,) * b
         self.one_t: tuple[int, ...] = (1,) + (0,) * (b - 1)
-        self.gen_t: tuple[int, ...] = ((0, 1) + (0,) * (b - 2)) if b > 1 else (0,)
         self._element_list: list[tuple[int, ...]] | None = None
         self._log_tables: tuple[list[int], list[int], list[int]] | None = None
         self._square_counter: list[int] | None = None
@@ -116,14 +115,6 @@ class FieldContext:
     def add_t(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
         return tuple((a + c) % p for a, c in zip(u, v))
-
-    def sub_t(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((a - c) % p for a, c in zip(u, v))
-
-    def neg_t(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((-a) % p for a in u)
 
     def smul_t(self, c: int, u: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
@@ -184,46 +175,13 @@ class FieldContext:
             e >>= 1
         return result
 
-    # -- element construction and enumeration ---------------------------------
-
-    def element(self, value: "int | Sequence[int] | FieldElement") -> "FieldElement":
-        """Lift an int (constant), coefficient sequence, or element into this field."""
-        if isinstance(value, FieldElement):
-            if value.ctx is not self:
-                raise DomainError(f"element of {value.ctx!r} used in {self!r}")
-            return value
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.b - 1)
-            return FieldElement(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) > self.b:
-            raise DomainError(
-                f"coefficient vector of length {len(coeffs)} for degree-{self.b} field")
-        coeffs += (0,) * (self.b - len(coeffs))
-        return FieldElement(self, coeffs)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_t)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_t)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """The residue class of t (equals 0 in a prime field, where t is the modulus)."""
-        return FieldElement(self, self.gen_t)
+    # -- enumeration ----------------------------------------------------------
 
     def element_tuples(self) -> list[tuple[int, ...]]:
         """All q coefficient tuples in lexicographic order, cached."""
         if self._element_list is None:
             self._element_list = list(itertools.product(range(self.p), repeat=self.b))
         return self._element_list
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for coeffs in self.element_tuples():
-            yield FieldElement(self, coeffs)
 
     # -- int-indexed tables and the one polynomial evaluator ------------------
 
@@ -394,66 +352,6 @@ class FieldContext:
     inverse_square_table = log_tables
 
 
-class FieldElement:
-    """An element of one FieldContext; a thin wrapper over a coefficient tuple."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldContext, coeffs: tuple[int, ...]):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def _peer(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.ctx is not self.ctx:
-            raise DomainError(
-                f"mixed-field arithmetic: {self.ctx!r} vs {other.ctx!r}")
-        return other
-
-    def __add__(self, other):
-        other = self._peer(other)
-        return FieldElement(self.ctx, self.ctx.add_t(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        return FieldElement(self.ctx, self.ctx.sub_t(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg_t(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FieldElement(self.ctx, self.ctx.smul_t(other, self.coeffs))
-        other = self._peer(other)
-        return FieldElement(self.ctx, self.ctx.mul_t(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow_t(self.coeffs, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv_t(self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and other.ctx is self.ctx
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.coeffs))
-
-    def __str__(self) -> str:
-        return render_coeffs(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"<{self} in {self.ctx!r}>"
-
-
 def render_coeffs(coeffs: Sequence[int]) -> str:
     """Render a coefficient vector as ``c0+c1*t+...``, skipping zero terms."""
     terms = []
@@ -494,13 +392,12 @@ def make_field_context(p: int, b: int) -> FieldContext:
 class FieldEmbedding:
     """A field homomorphism GF(p^b) -> GF(p^(b*n)) fixing the prime field."""
 
-    __slots__ = ("small", "big", "generator_image", "_gen_powers")
+    __slots__ = ("big", "generator_image", "_gen_powers")
 
     def __init__(self, small: FieldContext, big: FieldContext,
                  generator_image: tuple[int, ...]):
-        self.small = small
         self.big = big
-        self.generator_image = FieldElement(big, generator_image)
+        self.generator_image = generator_image
         powers = [big.one_t]
         for _ in range(small.b - 1):
             powers.append(big.mul_t(powers[-1], generator_image))
@@ -508,12 +405,6 @@ class FieldEmbedding:
 
     def map_tuple(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         return self.big._combine(coeffs, self._gen_powers)
-
-    def __call__(self, element: FieldElement) -> FieldElement:
-        if element.ctx is not self.small:
-            raise DomainError(
-                f"embedding defined on {self.small!r}, got element of {element.ctx!r}")
-        return FieldElement(self.big, self.map_tuple(element.coeffs))
 
 
 @functools.lru_cache(maxsize=None)
