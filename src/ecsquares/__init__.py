@@ -8,7 +8,6 @@ finite fields.
 """
 
 from .curves import (
-    CurveCount,
     WeierstrassCurve,
     base_change_count,
     count_points_naive,
@@ -53,7 +52,6 @@ from .traces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveCount",
     "DomainError",
     "FieldContext",
     "PaperCheckReport",

@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 usage error, 2 domain/resource error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from typing import TextIO
 
@@ -21,12 +23,13 @@ from typing import TextIO
 # square_hits_scan at the name its search callers use and allows an unwrapped
 # copy only in the defining module.
 from . import sequence
-from .curves import DEFAULT_COUNT_LIMIT, base_change_count, count_points_naive, realize_trace
+from .curves import (DEFAULT_COUNT_LIMIT, base_change_count, check_count_limit,
+                     count_points_naive, realize_trace)
 from .errors import DomainError, ResourceLimitError
 from .numeric import perfect_square_root
 from .records import FORMATS, render_records, unlimited_int_str
 from .search import ADMISSIBILITY_MODES, DEGENERACY_MODES, SearchConfig, paper_check, run_search
-from .traces import admissible_traces, as_prime_power, classify_degeneracy
+from .traces import _checked_q, admissible_traces, as_prime_power, classify_degeneracy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,16 +123,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     # str()'s digit guard is lifted for the command only, so parsing and
-    # in-process callers keep theirs.
+    # in-process callers keep theirs.  --out is closed and stdout flushed in
+    # here: output that cannot be written (an OSError) is a resource error.
     try:
-        with unlimited_int_str():
-            return args.run(args)
-    except (DomainError, ResourceLimitError) as exc:
+        with unlimited_int_str(), args.out or contextlib.nullcontext():
+            code = args.run(args)
+            sys.stdout.flush()
+        return code
+    except (DomainError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # At exit the interpreter flushes what stdout kept again: to devnull, quietly.
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_DOMAIN
-    finally:
-        if args.out is not None:
-            args.out.close()
 
 
 def _cmd_search(args) -> int:
@@ -183,12 +192,13 @@ def _cmd_realize(args) -> int:
         print("none: inadmissible")
         return EXIT_OK
     count = count_points_naive(curve)
-    print(f"{curve}  N={count.N} a={count.a}")
+    print(f"{curve}  N={count} a={curve.ctx.q + 1 - count}")
     return EXIT_OK
 
 
 def _cmd_verify_extension(args) -> int:
-    pp = as_prime_power(args.q)
+    pp = _checked_q(args.q, args.a)  # the Hasse verdict before the count guard
+    check_count_limit(args.count_limit)
     curve = realize_trace(pp, args.a)
     if curve is None:
         print("none: inadmissible", file=sys.stderr)

@@ -84,15 +84,6 @@ class WeierstrassCurve:
                 f" mod {render_coeffs(ctx.modulus)}")
 
 
-@dataclass(frozen=True)
-class CurveCount:
-    """An exact point count N (including infinity) and the trace a = q + 1 - N."""
-
-    curve: WeierstrassCurve
-    N: int
-    a: int
-
-
 def short_weierstrass(ctx: FieldContext, A, B) -> WeierstrassCurve:
     """y^2 = x^3 + A x + B, for A and B ints (constants, reduced mod p) or
     coefficient sequences."""
@@ -123,13 +114,11 @@ def _discriminant_t(ctx: FieldContext, quint) -> tuple[int, ...]:
     return add(term, smul(9, mul(b2, mul(b4, b6))))
 
 
-def count_points_naive(curve: WeierstrassCurve) -> CurveCount:
-    """Exhaustive point count of a nonsingular curve, including infinity."""
-    ctx = curve.ctx
-    if not any(_discriminant_t(ctx, curve.coefficient_tuples())):
+def count_points_naive(curve: WeierstrassCurve) -> int:
+    """Exhaustive point count N, with infinity, of a nonsingular curve: trace q + 1 - N."""
+    if not any(discriminant(curve)):
         raise DomainError(f"singular curve {curve}")
-    n = _count_curve(ctx, 1, curve.coefficient_tuples())
-    return CurveCount(curve=curve, N=n, a=ctx.q + 1 - n)
+    return _count_curve(curve.ctx, 1, curve.coefficient_tuples())
 
 
 def _count_curve(ctx: FieldContext, n: int, quint) -> int:
@@ -283,6 +272,13 @@ def _families(ctx: FieldContext):
                 yield (zero, zero, a3, a4), elems
 
 
+def check_count_limit(limit: int) -> None:
+    """Refuse a count limit above the field-size guard (2^20)."""
+    if limit > DEFAULT_FIELD_SIZE_LIMIT:
+        raise ResourceLimitError(
+            f"count limit {limit} exceeds the field-size guard of {DEFAULT_FIELD_SIZE_LIMIT}")
+
+
 def base_change_count(curve: WeierstrassCurve, n: int, *,
                       limit: int = DEFAULT_COUNT_LIMIT) -> int:
     """Exhaustive point count of the curve over GF(q^n).
@@ -297,9 +293,7 @@ def base_change_count(curve: WeierstrassCurve, n: int, *,
     ctx = curve.ctx
     if n < 1:
         raise DomainError(f"extension degree must be >= 1, got {n}")
-    if limit > DEFAULT_FIELD_SIZE_LIMIT:
-        raise ResourceLimitError(
-            f"count limit {limit} exceeds the field-size guard of {DEFAULT_FIELD_SIZE_LIMIT}")
+    check_count_limit(limit)
     if n >= limit.bit_length() or ctx.q ** n > limit:  # q >= 2: refuse before q**n
         raise ResourceLimitError(
             f"extension field size {ctx.q}^{n} exceeds the count guard of {limit}")

@@ -84,12 +84,12 @@ def _cycle_digits():
 
     For a degenerate pair's hit at n = km, u = |c^k - 1| and N = c^(2k) - 2c^k + 1,
     with c^k and c^(2k) kept per pair and stepped to each row's k: times c and
-    c^2 as k advances by one, times c^(k - j) and its square on a jump from j,
-    and from k = 0 again when k goes back.  Each row costs time linear in its
-    digits, where str() of an int is quadratic.  The digits must agree with the
-    hit's u on the low 18 digits (N with u^2), or ``RuntimeError`` is raised.
-    Other rows go through str().  The context is the exact one of CPython
-    3.12's ``_pylong``: nothing may round.
+    c^2 as k advances by one, and otherwise c^k = c ** k and c^(2k) its square.
+    Each row costs time linear in its digits, where str() of an int is
+    quadratic.  The digits must agree with the hit's u on the low 18 digits
+    (N with u^2), or ``RuntimeError`` is raised.  Other rows go through str().
+    The context is the exact one of CPython 3.12's ``_pylong``: nothing may
+    round.
     """
     import decimal
 
@@ -104,13 +104,11 @@ def _cycle_digits():
             c = decimal.Decimal(_cycle_root(hit.q, hit.a, m))
             powers[pair] = [c, c * c, 0, one, one]
         c, c2, j, c_k, c_2k = state = powers[pair]
-        if k < j:
-            j, c_k, c_2k = 0, one, one
         if k == j + 1:
             c_k, c_2k = c_k * c, c_2k * c2
-        elif k > j:
-            step = c ** (k - j)
-            c_k, c_2k = c_k * step, c_2k * (step * step)
+        elif k != j:
+            c_k = c ** k
+            c_2k = c_k * c_k
         state[2:] = k, c_k, c_2k
         big_n, u = str(c_2k - 2 * c_k + 1), str(abs(c_k - 1))
         low = hit.u % low_mod

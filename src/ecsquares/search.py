@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .numeric import prime_power_decompose
-from .sequence import (SequenceTerm, SquareHit, _recurrence, sporadic_list,
-                       square_hits_scan, trace_sequence)
+from .sequence import SquareHit, _recurrence, sporadic_list, square_hits_scan, trace_sequence
 from .traces import (
     PrimePower,
     classify_degeneracy,
@@ -86,8 +85,8 @@ def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchR
     """Scan all selected pairs and re-verify every hit with ``verify_hit``.
 
     A pair walks the bare recurrence (``sequence._recurrence``) once, to
-    its last hit, builds a ``SequenceTerm`` only at each hit's n and hands
-    it to ``verify_hit``; a hit out of order, repeated, or not a square
+    its last hit, and hands ``verify_hit`` the walk's own (n, a_n, N_n)
+    tuple at each hit's n; a hit out of order, repeated, or not a square
     raises ``RuntimeError``.  Hits come in canonical (q, a, n) order without
     a sort: the pairs are in (q, a) order and each scan yields ascending n.
     ``on_pair``, if given, is called with each pair's hits once verified.
@@ -99,12 +98,10 @@ def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchR
         found = square_hits_scan(pp, a, config.nmax)
         steps = _recurrence(pp.q, a, found[-1].n) if found else ()
         for hit in found:
-            for step in steps:
-                if step[0] >= hit.n:
-                    term = SequenceTerm._make(step)
+            term = None
+            for term in steps:
+                if term[0] >= hit.n:
                     break
-            else:
-                term = None
             if term is None or not verify_hit(hit, term):
                 raise RuntimeError(f"hit failed re-verification: {hit}")
         if on_pair is not None:
@@ -118,22 +115,23 @@ def run_search(config: SearchConfig, on_pair: Callable | None = None) -> SearchR
     )
 
 
-def verify_hit(hit: SquareHit, term: SequenceTerm | None = None) -> bool:
+def verify_hit(hit: SquareHit, term: tuple[int, int, int] | None = None) -> bool:
     """Confirm u^2 = N_n = q^n + 1 - a_n, with N_n from the plain recurrence.
 
-    ``term`` is the hit's term of the recurrence, from a walk its caller
-    shares across a pair's hits (``run_search`` builds it only at the hit's
-    n); without it, ``trace_sequence`` is walked to n here, O(n) steps.  The
-    recurrence is independent of both the Lucas doubling and the
-    cycle-square closed form that the scan uses.  A hit with n < 1, or a
-    term at another n, is rejected.
+    ``term`` is the hit's (n, a_n, N_n) of the recurrence, a ``SequenceTerm``
+    or the bare tuple of a walk its caller shares across a pair's hits (as
+    ``run_search`` does); without it, ``trace_sequence`` is walked to n here,
+    O(n) steps.  The recurrence is independent of both the Lucas doubling
+    and the cycle-square closed form that the scan uses.  A hit with n < 1,
+    or a term at another n, is rejected.
     """
     if hit.n < 1:
         return False
     if term is None:
         for term in trace_sequence(hit.q, hit.a, hit.n):
             pass
-    return term.n == hit.n and hit.u * hit.u == term.N_n
+    n, _, N_n = term
+    return n == hit.n and hit.u * hit.u == N_n
 
 
 # -- published search table and its verified errata ---------------------------

@@ -162,7 +162,7 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
     that does not return within l - 1 steps leaves l a jump prime.  Each walk,
     failed ones too, is cached by residue class; the choices stay per pair.
     """
-    walks = [(mod, *_stage_one_walk(qv, a, mod, flags, width)) for mod, flags in _WALK_TABLES]
+    walks = [(mod, *_stage_one_walk(qv, a, mod, width)) for mod, _ in _WALK_TABLES]
     # The first window's n no walk excludes, and those a cycle root settles.
     live, settled = (1 << width) - 1, width // m if m else 0
     for *_, excluded in walks:
@@ -173,7 +173,7 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
             # S only falls and l only grows, so no later prime is walked either.
             return walks, jumps + list(_JUMP_TABLES[i:])
         eigenvalues_in_gf_ell = qv % ell and flags[disc % ell]
-        walk = eigenvalues_in_gf_ell and _stage_one_walk(qv, a, ell, flags, width, ell - 1)
+        walk = eigenvalues_in_gf_ell and _stage_one_walk(qv, a, ell, width, ell - 1)
         if walk:
             walks.append((ell, *walk))
             live &= ~walk[2]
@@ -183,11 +183,11 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
     return walks, jumps
 
 
-def _stage_one_walk(qv: int, a: int, m: int, flags: bytes, width: int,
+def _stage_one_walk(qv: int, a: int, m: int, width: int,
                     limit: int | None = None) -> tuple[int, int, int] | None:
     """(mu, lam, excluded), bit n - 1 of excluded flagging N_n a non-residue
-    mod m, or None: the cached ``_walk_period`` (flags, read from m), its
-    period tiled with doubling shifts to past n = mu + lam + width."""
+    mod m, or None: the cached ``_walk_period``, its period tiled with
+    doubling shifts to past n = mu + lam + width."""
     if (period := _walk_period(m, qv % m, a % m, limit)) is None:
         return None
     mu, lam, head = period

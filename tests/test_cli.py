@@ -1,16 +1,23 @@
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
+import io
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 import warnings
 
 import pytest
 
 import ecsquares.cli
-from ecsquares import DomainError, SearchConfig, guaranteed_square, run_search, sporadic_list
+from ecsquares import (DomainError, ResourceLimitError, SearchConfig, base_change_count,
+                       guaranteed_square, make_field_context, run_search, short_weierstrass,
+                       sporadic_list)
 from ecsquares.cli import build_parser, main
 from ecsquares.records import CSV_HEADER, FORMATS, RECORD_FIELDS, render_records, unlimited_int_str
 from ecsquares.traces import waterhouse_admissible
@@ -32,6 +39,14 @@ def test_classify_nondegenerate(capsys):
     code, out, _ = run_cli(capsys, "classify", "--q", "7", "--a", "3")
     assert code == 0
     assert out.strip() == "nondegenerate"
+
+
+def test_classify_beyond_the_trial_divisor_cap_is_a_resource_error(capsys):
+    # (2^20 + 7)^2 has no prime factor below the trial-division cap.
+    code, out, err = run_cli(capsys, "classify", "--q", "1099526307889", "--a", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "trial division" in err
 
 
 def test_classify_hasse_violation_is_domain_error(capsys):
@@ -163,11 +178,42 @@ def test_verify_extension(capsys):
 
 
 def test_verify_extension_count_limit_above_field_guard(capsys):
-    # 2^21 > 2^20: refused at the first count, before GF(2) is extended at all.
+    # 2^21 > 2^20: refused before GF(2) is extended at all.
     code, _, err = run_cli(capsys, "verify-extension", "--q", "2", "--a", "1",
                            "--count-limit", "2097152")
     assert code == 2
     assert "guard" in err
+
+
+def test_verify_extension_refuses_an_over_guard_limit_before_realizing(capsys, monkeypatch):
+    # Realizing a trace over GF(1021) sweeps the field: the limit is checked first,
+    # with the message base_change_count gives for the same limit.
+    def no_realization(pp, a):
+        raise AssertionError(f"realized a trace over GF({pp.q})")
+
+    monkeypatch.setattr(ecsquares.cli, "realize_trace", no_realization)
+    code, out, err = run_cli(capsys, "verify-extension", "--q", "1021", "--a", "5",
+                             "--count-limit", "2000000")
+    assert code == 2
+    assert out == ""
+    curve = short_weierstrass(make_field_context(7, 1), 0, 2)
+    with pytest.raises(ResourceLimitError) as refusal:
+        base_change_count(curve, 1, limit=2000000)
+    assert err == f"error: {refusal.value}\n"
+    assert err == "error: count limit 2000000 exceeds the field-size guard of 1048576\n"
+
+
+def test_verify_extension_inadmissible_comes_before_a_limit_below_q(capsys):
+    code, out, err = run_cli(capsys, "verify-extension", "--q", "27", "--a", "3",
+                             "--count-limit", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "none: inadmissible\n"
+    # And the Hasse bound before the count guard.
+    code, _, err = run_cli(capsys, "verify-extension", "--q", "7", "--a", "8",
+                           "--count-limit", "2000000")
+    assert code == 2
+    assert "Hasse bound" in err
 
 
 def test_verify_extension_nothing_to_verify(capsys):
@@ -347,6 +393,56 @@ def test_search_out_is_closed_when_the_search_fails(capsys, tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_unwritable_stdout_is_a_resource_error(capsys, monkeypatch, tmp_path):
+    # In process, with a stdout that has no descriptor; --out is still closed.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    out_file = tmp_path / "hits.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        codes = [main(["classify", "--q", "7", "--a", "3"]),
+                 main(["search", "--qmax", "8", "--nmax", "40", "--out", str(out_file)])]
+        gc.collect()
+    assert codes == [2, 2]
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n" * 2
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _cli_process(stdout):
+    src = pathlib.Path(ecsquares.cli.__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "ecsquares", "sequence", "--q", "2", "--a", "-1", "--nmax", "3000"],
+        stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_a_reader_that_stops_early_ends_the_process_with_one_error_line():
+    # ``ecsquares ... | head -c 100``: about 2.1 MB of output, read 100 bytes.
+    process = _cli_process(subprocess.PIPE)
+    assert len(process.stdout.read(100)) == 100
+    process.stdout.close()
+    err = process.stderr.read().decode()
+    process.stderr.close()
+    assert process.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_ends_the_process_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        process = _cli_process(full)
+        err = process.stderr.read().decode()
+        process.stderr.close()
+    assert process.wait() == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
 def test_search_out_is_not_created_when_a_later_argument_fails(capsys, tmp_path):
     out_file = tmp_path / "hits.jsonl"
     with warnings.catch_warnings(record=True) as caught:
@@ -446,6 +542,11 @@ def test_search_formats_are_pinned(capsys, fmt):
                            "--degenerate", "include", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORMAT_SHA256[fmt]
+
+
+def test_render_records_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_records(sporadic_list(), "xml")
 
 
 # sha256 of the JSONL stdout of `search --qmax 200`, beyond the paper's q < 50:

@@ -7,13 +7,15 @@ import sys
 import ecsquares
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# The subprocesses import the package from src/ and write no bytecode there.
+ENV = {"PYTHONPATH": str(pathlib.Path(ecsquares.__file__).resolve().parents[1]),
+       "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_import_leaves_numpy_unloaded():
-    src = pathlib.Path(ecsquares.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", "import sys, ecsquares; print('numpy' in sys.modules)"],
-        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+        env=ENV, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -29,7 +31,6 @@ def test_no_runtime_dependencies():
 
 def test_decimal_is_imported_only_to_print_cycle_rows():
     # Cycle rows print through decimal; searches without them never load it.
-    src = pathlib.Path(ecsquares.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, sys\n"
         "from ecsquares.cli import main\n"
@@ -39,6 +40,6 @@ def test_decimal_is_imported_only_to_print_cycle_rows():
         "    loaded = 'decimal' in sys.modules\n"
         "    main(['search', '--qmax', '5', '--nmax', '8', '--degenerate', 'only'])\n"
         "print(loaded, 'decimal' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+    out = subprocess.run([sys.executable, "-c", script], env=ENV,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False True"

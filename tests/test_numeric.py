@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsquares import DomainError, isqrt, numeric, perfect_square_root, prime_power_decompose
-from ecsquares.numeric import is_prime
+from ecsquares import (DomainError, ResourceLimitError, isqrt, numeric, perfect_square_root,
+                       prime_power_decompose)
+from ecsquares.numeric import TRIAL_DIVISOR_CAP, is_prime
 
 
 def test_isqrt_small_values():
@@ -107,6 +108,14 @@ def test_prime_power_decompose_rejects_small():
     for q in (1, 0, -8):
         with pytest.raises(DomainError):
             prime_power_decompose(q)
+
+
+def test_prime_power_decompose_stops_at_the_trial_divisor_cap():
+    # 2^20 + 7 is prime, so its square has no prime factor below the cap.
+    p = (1 << 20) + 7
+    assert p > TRIAL_DIVISOR_CAP and is_prime(p)
+    with pytest.raises(ResourceLimitError, match="trial division"):
+        prime_power_decompose(p * p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])

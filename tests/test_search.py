@@ -139,6 +139,8 @@ def test_verify_hit():
     q49 = PrimePower.from_q(49)
     assert verify_hit(SquareHit(q=q49, a=14, n=1000, u=s - 1, degenerate_m=1, source="guaranteed"))
     assert not verify_hit(SquareHit(q=q49, a=14, n=1000, u=s, degenerate_m=1, source="guaranteed"))
+    # No term exists at n = 0; N_0 = 1 + 1 - 2 = 0 = 0^2 must not pass.
+    assert not verify_hit(SquareHit(q=pp, a=-1, n=0, u=0, degenerate_m=None, source="scan"))
 
 
 def test_verify_hit_rejects_a_term_at_another_n():
@@ -210,7 +212,6 @@ def test_run_search_verifies_each_hit_once_at_its_own_term(monkeypatch):
     for hit, term in calls:
         # The shared walk's term at the hit's n, equal to exact doubling.
         a_n = trace_term(hit.q, hit.a, hit.n)
-        assert type(term) is SequenceTerm
         assert term == (hit.n, a_n, hit.q.q ** hit.n + 1 - a_n)
 
 

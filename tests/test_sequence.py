@@ -327,12 +327,12 @@ def test_stage_one_walk_proves_its_period():
         return trace_term(q, a, n) % mod, trace_term(q, a, n + 1) % mod, pow(q, n, mod)
 
     pre_periods = {}
-    for (mod, flags), shared in zip(sequence._WALK_TABLES, SHARING_Q.values()):
+    for (mod, _), shared in zip(sequence._WALK_TABLES, SHARING_Q.values()):
         own_squares = {i * i % mod for i in range(mod)}
         for q in [*shared, COPRIME_Q[mod]]:
             bound = hasse_bound(as_prime_power(q))
             for a in (-bound, 1):
-                mu, lam, excluded = sequence._stage_one_walk(q, a, mod, flags, 1000)
+                mu, lam, excluded = sequence._stage_one_walk(q, a, mod, 1000)
                 assert state(q, a, mu, mod) == state(q, a, mu + lam, mod), (q, a, mod)
                 if mu > 1:
                     assert state(q, a, mu - 1, mod) != state(q, a, mu - 1 + lam, mod)
@@ -424,9 +424,8 @@ def test_split_prime_walks_prove_their_periods():
     assert classify_degeneracy(49, 14) == 1 and len(sieve_plan(49, 14, 2000)[0]) == 6
     # D = -7 is a non-residue mod 17: (a_n, a_(n+1), q^n) has no period
     # dividing 16, so the capped walk finds no return.
-    flags = dict(sequence._JUMP_TABLES)[17]
     assert (-7) % 17 not in SQUARES_MOD[17]
-    assert sequence._stage_one_walk(2, -1, 17, flags, 100, 16) is None
+    assert sequence._stage_one_walk(2, -1, 17, 100, 16) is None
 
 
 def residue_classes(m, flags):
@@ -457,13 +456,13 @@ def test_pairs_of_a_residue_class_share_one_exact_walk():
             period = sequence._walk_period(m, pairs[0][0] % m, pairs[0][1] % m, limit)
             for q, a in pairs:
                 assert sequence._walk_period(m, q % m, a % m, limit) is period
-                mu, lam, excluded = sequence._stage_one_walk(q, a, m, flags, 1000, limit)
+                mu, lam, excluded = sequence._stage_one_walk(q, a, m, 1000, limit)
                 assert (mu, lam) == period[:2]
                 for n in range(1, mu + 2 * lam):
                     count = q ** n + 1 - trace_term(q, a, n)
                     assert (excluded >> n - 1) & 1 == (count % m not in SQUARES_MOD[m]), (q, a, m, n)
                 for width in (1, 1000, 1 << 16):
-                    args = q, a, m, flags, width, limit
+                    args = q, a, m, width, limit
                     masks[args] = sequence._stage_one_walk(*args)
             checked.append((m, len(pairs), math.gcd(pairs[0][0], m) > 1))
     # Classes of up to 22 pairs share a walk.  The walks with a pre-period,
@@ -496,7 +495,7 @@ def test_search_caches_periods_not_masks_and_reuses_them(monkeypatch):
     assert walk_period.cache_info().misses == misses
     walk_period.cache_clear()
     for _ in ("cold", "warm"):
-        assert sequence._stage_one_walk(2, -1, 17, sequence._SQUARE_FLAGS[17], 100, 16) is None
+        assert sequence._stage_one_walk(2, -1, 17, 100, 16) is None
     info = walk_period.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -586,6 +585,11 @@ def test_guaranteed_square_off_cycle_is_none():
 def test_guaranteed_square_rejects_nondegenerate():
     with pytest.raises(DomainError):
         guaranteed_square(7, 3, 6)
+
+
+def test_guaranteed_square_rejects_n_below_one():
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        guaranteed_square(49, 14, 0)
 
 
 def test_guaranteed_square_agrees_with_scan():

@@ -24,6 +24,9 @@ def test_prime_power_validation():
         PrimePower(4, 1, 4)
     with pytest.raises(DomainError):
         PrimePower(2, 3, 9)
+    with pytest.raises(DomainError, match="exponent"):
+        PrimePower(2, 0, 1)
+    assert str(PrimePower.from_q(49)) == "49"
 
 
 def test_waterhouse_examples():
