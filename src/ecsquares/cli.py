@@ -154,6 +154,8 @@ def _cmd_search(args) -> int:
     write(render_records([], args.fmt, config=config))
     report = run_search(config, lambda hits: write(
         render_records(hits, args.fmt, header=False, config=config)))
+    if args.out is not None:
+        args.out.flush()  # a failed write is reported alone, not after the summary
     print(f"{len(report.hits)} hits from {report.pairs_scanned} (q, a) pairs "
           f"in {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK

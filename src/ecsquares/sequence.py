@@ -157,10 +157,9 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
 
     After the prime powers, each jump prime l in turn is walked when l does
     not divide q, D = a^2 - 4q is a square or 0 mod l (both eigenvalues in
-    GF(l), period dividing l - 1) and l - 1 <= _WALK_BUDGET * S, for S the
-    first window's live n less the cycle squares, scaled to nmax.  A walk
-    that does not return within l - 1 steps leaves l a jump prime.  Each walk,
-    failed ones too, is cached by residue class; the choices stay per pair.
+    GF(l)*, so the walk returns within l - 1 steps) and l - 1 <= _WALK_BUDGET
+    * S, for S the first window's live n less the cycle squares, scaled to
+    nmax.  Each walk is cached by residue class; the choices stay per pair.
     """
     walks = [(mod, *_stage_one_walk(qv, a, mod, width)) for mod, _ in _WALK_TABLES]
     # The first window's n no walk excludes, and those a cycle root settles.
@@ -172,9 +171,8 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
         if (ell - 1) * width > _WALK_BUDGET * survivors * nmax:
             # S only falls and l only grows, so no later prime is walked either.
             return walks, jumps + list(_JUMP_TABLES[i:])
-        eigenvalues_in_gf_ell = qv % ell and flags[disc % ell]
-        walk = eigenvalues_in_gf_ell and _stage_one_walk(qv, a, ell, width, ell - 1)
-        if walk:
+        if qv % ell and flags[disc % ell]:
+            walk = _stage_one_walk(qv, a, ell, width)
             walks.append((ell, *walk))
             live &= ~walk[2]
             survivors = live.bit_count() - settled
@@ -183,14 +181,11 @@ def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[l
     return walks, jumps
 
 
-def _stage_one_walk(qv: int, a: int, m: int, width: int,
-                    limit: int | None = None) -> tuple[int, int, int] | None:
+def _stage_one_walk(qv: int, a: int, m: int, width: int) -> tuple[int, int, int]:
     """(mu, lam, excluded), bit n - 1 of excluded flagging N_n a non-residue
-    mod m, or None: the cached ``_walk_period``, its period tiled with
-    doubling shifts to past n = mu + lam + width."""
-    if (period := _walk_period(m, qv % m, a % m, limit)) is None:
-        return None
-    mu, lam, head = period
+    mod m: the cached ``_walk_period``, its period tiled with doubling shifts
+    to past n = mu + lam + width."""
+    mu, lam, head = _walk_period(m, qv % m, a % m)
     tiled, length = head >> mu - 1, lam
     while length < width + lam:
         tiled, length = tiled | tiled << length, 2 * length
@@ -198,11 +193,11 @@ def _stage_one_walk(qv: int, a: int, m: int, width: int,
 
 
 @functools.cache
-def _walk_period(m: int, q: int, a: int, limit: int | None) -> tuple[int, int, int] | None:
+def _walk_period(m: int, q: int, a: int) -> tuple[int, int, int]:
     """(mu, lam, bits) for (a_n, a_(n+1), q^n) mod m walked from n = 1 and
-    residues q and a, or None when no state repeats within limit steps: bit
-    n - 1 flags N_n a non-residue, n < mu + lam, the first n whose state is
-    that of mu.  For a unit q only the state at n = 1 is compared."""
+    residues q and a: bit n - 1 flags N_n a non-residue, n < mu + lam, the
+    first n whose state is that of mu.  For a unit q only the state at n = 1
+    is compared."""
     flags = _SQUARE_FLAGS[m]
     start = a_n, a_n1, q_n = a0, a1, q0 = a, (a * a - 2 * q) % m, q
     seen, keep, head, n = {start: 1}, math.gcd(q, m) > 1, 0, 0
@@ -216,8 +211,6 @@ def _walk_period(m: int, q: int, a: int, limit: int | None) -> tuple[int, int, i
             seen[a_n, a_n1, q_n] = n + 1
         elif q_n == q0 and a_n == a0 and a_n1 == a1:
             break
-        if n == limit:
-            return None
     mu = seen[a_n, a_n1, q_n]
     return mu, n + 1 - mu, head
 

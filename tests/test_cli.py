@@ -443,6 +443,20 @@ def test_a_full_device_ends_the_process_with_one_error_line():
     assert err == "error: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_out_file_is_reported_without_the_search_summary(capsys):
+    # --out is flushed before the "hits from pairs" summary, so its failure
+    # is the only stderr line; stdout still gets every record.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, err = run_cli(capsys, "search", "--qmax", "5", "--out", "/dev/full")
+        gc.collect()
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert len(out.splitlines()) == 9
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_search_out_is_not_created_when_a_later_argument_fails(capsys, tmp_path):
     out_file = tmp_path / "hits.jsonl"
     with warnings.catch_warnings(record=True) as caught:

@@ -396,7 +396,7 @@ def test_split_prime_walks_prove_their_periods():
     l from exact ``trace_term`` values at n = 1 + lam equals that at n = 1 and
     at no n in between, lam divides l - 1, and the excluded bits are the
     non-residues of the exact N_n over two periods.  An inert prime's walk,
-    capped at l - 1 steps, gives up."""
+    which stage 1 never makes, has a period that does not divide l - 1."""
 
     def state(q, a, n, mod):
         return trace_term(q, a, n) % mod, trace_term(q, a, n + 1) % mod, pow(q, n, mod)
@@ -422,10 +422,11 @@ def test_split_prime_walks_prove_their_periods():
     # D = 0 for (49, 14), so every l != 7 is ramified, but with m = 1 the cycle
     # root settles every n: S = 0 and no jump prime is walked.
     assert classify_degeneracy(49, 14) == 1 and len(sieve_plan(49, 14, 2000)[0]) == 6
-    # D = -7 is a non-residue mod 17: (a_n, a_(n+1), q^n) has no period
-    # dividing 16, so the capped walk finds no return.
+    # D = -7 is a non-residue mod 17: the eigenvalues lie in GF(17^2), not
+    # GF(17), and (a_n, a_(n+1), q^n) returns only after 144 steps, which
+    # does not divide 16.
     assert (-7) % 17 not in SQUARES_MOD[17]
-    assert sequence._stage_one_walk(2, -1, 17, 100, 16) is None
+    assert sequence._stage_one_walk(2, -1, 17, 100)[:2] == (1, 144) and 16 % 144 != 0
 
 
 def residue_classes(m, flags):
@@ -448,21 +449,20 @@ def test_pairs_of_a_residue_class_share_one_exact_walk():
     q not a unit mod m, whose walk compares every state, not only the first."""
     checked, masks = [], {}
     for m, flags in sequence._WALK_TABLES + sequence._JUMP_TABLES[:4]:
-        limit = None if m in WALK_MODULI else m - 1
         classes = sorted(residue_classes(m, flags).values(), key=len, reverse=True)
         shared = [c for c in classes if len(c) > 1]
         ramified = [c for c in shared if math.gcd(c[0][0], m) > 1]
         for pairs in shared[:1] + ramified[:1]:
-            period = sequence._walk_period(m, pairs[0][0] % m, pairs[0][1] % m, limit)
+            period = sequence._walk_period(m, pairs[0][0] % m, pairs[0][1] % m)
             for q, a in pairs:
-                assert sequence._walk_period(m, q % m, a % m, limit) is period
-                mu, lam, excluded = sequence._stage_one_walk(q, a, m, 1000, limit)
+                assert sequence._walk_period(m, q % m, a % m) is period
+                mu, lam, excluded = sequence._stage_one_walk(q, a, m, 1000)
                 assert (mu, lam) == period[:2]
                 for n in range(1, mu + 2 * lam):
                     count = q ** n + 1 - trace_term(q, a, n)
                     assert (excluded >> n - 1) & 1 == (count % m not in SQUARES_MOD[m]), (q, a, m, n)
                 for width in (1, 1000, 1 << 16):
-                    args = q, a, m, width, limit
+                    args = q, a, m, width
                     masks[args] = sequence._stage_one_walk(*args)
             checked.append((m, len(pairs), math.gcd(pairs[0][0], m) > 1))
     # Classes of up to 22 pairs share a walk.  The walks with a pre-period,
@@ -477,7 +477,7 @@ def test_pairs_of_a_residue_class_share_one_exact_walk():
 def test_search_caches_periods_not_masks_and_reuses_them(monkeypatch):
     """After a search, each cached walk holds no more than its pre-period and
     one period, not a tiled mask; an identical second search walks nothing
-    new; and a capped walk that fails is cached as a failure."""
+    new; and a walk of a prime stage 1 never walks is cached all the same."""
     walk_period, values = sequence._walk_period, {}
 
     def recording_walk_period(*key):
@@ -489,15 +489,42 @@ def test_search_caches_periods_not_masks_and_reuses_them(monkeypatch):
         patch.setattr(sequence, "_walk_period", recording_walk_period)
         first = run_search(SearchConfig())
     assert len(values) == walk_period.cache_info().currsize
-    assert all(v is None or v[2].bit_length() < v[0] + v[1] for v in values.values())
+    assert all(v[2].bit_length() < v[0] + v[1] for v in values.values())
     misses = walk_period.cache_info().misses
     assert run_search(SearchConfig()).hits == first.hits and len(first.hits) == 52
     assert walk_period.cache_info().misses == misses
     walk_period.cache_clear()
     for _ in ("cold", "warm"):
-        assert sequence._stage_one_walk(2, -1, 17, 100, 16) is None
+        assert sequence._stage_one_walk(2, -1, 17, 100)[:2] == (1, 144)
     info = walk_period.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_every_split_prime_walk_of_a_search_closes_within_l_minus_1(monkeypatch):
+    """Over the default search, --nmax 1500 and --degenerate only, every walk
+    of a jump prime l is one stage 1 may make, prime to q with D = a^2 - 4q a
+    square or 0 mod l, and it closes as the eigenvalues in GF(l)* prove:
+    purely periodic, lam dividing l - 1."""
+    walk_period, keys = sequence._walk_period, set()
+
+    def recording_walk_period(*key):
+        keys.add(key)
+        return walk_period(*key)
+
+    walk_period.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(sequence, "_walk_period", recording_walk_period)
+        for config in (SearchConfig(), SearchConfig(nmax=1500),
+                       SearchConfig(degeneracy="only")):
+            run_search(config)
+    assert len(keys) == walk_period.cache_info().currsize
+    # 1,845 residue classes of the primes 17 to 113 (all but 107) are walked.
+    split = [(m, q, a) for m, q, a in keys if m in JUMP_MODULI]
+    assert len(split) == 1845 and {m for m, _, _ in split} == set(JUMP_MODULI[:24]) - {107}
+    for m, q, a in split:
+        mu, lam, _ = walk_period(m, q, a)
+        assert q % m and (a * a - 4 * q) % m in SQUARES_MOD[m], (m, q, a)
+        assert mu == 1 and (m - 1) % lam == 0, (m, q, a, lam)
 
 
 def test_scan_memory_does_not_grow_with_nmax():
