@@ -131,14 +131,21 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
         return code
     except (DomainError, ResourceLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            _to_devnull(sys.stderr)  # stderr may share stdout's closed pipe
         try:
             sys.stdout.flush()
         except OSError:
-            # At exit the interpreter flushes what stdout kept again: to devnull, quietly.
-            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
         return EXIT_DOMAIN
+
+
+def _to_devnull(stream: TextIO) -> None:
+    """At exit the interpreter flushes what a failed stream kept again: to devnull, quietly."""
+    with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _cmd_search(args) -> int:

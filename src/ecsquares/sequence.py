@@ -16,9 +16,10 @@ modulus until the state repeats and tiles what one period excludes: always
 the prime powers 64, 9, 7, 5, 13 and 11, and per pair the primes l in 17..199
 with both eigenvalues in GF(l) while many n survive.  A walk depends only on
 m, q mod m and a mod m, so each is made once per process and tiled per pair.
-Stage 2 reaches each survivor by doubling modulo the other primes' product.
-Survivors of both are confirmed exactly, so a term of O(n) bits is built only
-for the few n that may be squares.
+Stage 2 reaches each survivor by doubling modulo the other primes' product,
+and drops n when one of them divides N_n but its square does not (an odd
+valuation).  Survivors of both are confirmed exactly, so a term of O(n) bits
+is built only for the few n that may be squares.
 """
 
 from __future__ import annotations
@@ -114,11 +115,12 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
 
     Stage 1 (``_stage_one``) excludes n ``_WINDOW`` at a time, by walks each
     residue class shares.  Stage 2 takes N_n modulo the unwalked jump primes'
-    product at each survivor, by doubling, and tests it against each; a
-    survivor of both is a hit when ``perfect_square_root`` of the exact count
-    succeeds.  For a degenerate pair of order m and n = km the count is
-    (c^k - 1)^2 with c = a_m / 2, as in ``guaranteed_square``, a square stage
-    1 always keeps, so c^k takes one multiply per cycle n.
+    product at each survivor, by doubling, tests it against each, and mod l^2
+    for each l that divides it; a survivor of both is a hit when
+    ``perfect_square_root`` of the exact count succeeds.  For a degenerate
+    pair of order m and n = km the count is (c^k - 1)^2 with c = a_m / 2, as
+    in ``guaranteed_square``, a square stage 1 always keeps, so c^k takes one
+    multiply per cycle n.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
@@ -145,7 +147,10 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
                 u = abs(c_k - 1)
             else:
                 x = pow(qv, n, mod2) + 1 - trace_term(pp, a, n, mod2)
-                if all(table[x % ell] for ell, table in jumps):
+                # l | N_n with l^2 not dividing it: an odd valuation, no square.
+                if all(table[x % ell] for ell, table in jumps) and all(
+                        x % ell or (pow(qv, n, ell * ell) + 1 - trace_term(pp, a, n, ell * ell))
+                        % (ell * ell) == 0 for ell, _ in jumps):
                     u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
             if u is not None:
                 hits.append(SquareHit(pp, a, n, u, m, "scan"))

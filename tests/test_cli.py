@@ -414,12 +414,12 @@ def test_unwritable_stdout_is_a_resource_error(capsys, monkeypatch, tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def _cli_process(stdout):
+def _cli_process(stdout, stderr=subprocess.PIPE):
     src = pathlib.Path(ecsquares.cli.__file__).resolve().parents[1]
     env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.Popen(
         [sys.executable, "-m", "ecsquares", "sequence", "--q", "2", "--a", "-1", "--nmax", "3000"],
-        stdout=stdout, stderr=subprocess.PIPE, env=env)
+        stdout=stdout, stderr=stderr, env=env)
 
 
 def test_a_reader_that_stops_early_ends_the_process_with_one_error_line():
@@ -431,6 +431,17 @@ def test_a_reader_that_stops_early_ends_the_process_with_one_error_line():
     process.stderr.close()
     assert process.wait() == 2
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_a_reader_of_both_streams_that_stops_early_gets_exit_2():
+    # ``ecsquares ... 2>&1 | head -c 100``: the error line cannot be written
+    # either, and that is no reason for a traceback or another exit code.
+    read_end, write_end = os.pipe()
+    process = _cli_process(write_end, write_end)
+    os.close(write_end)
+    with open(read_end, "rb") as reader:
+        assert len(reader.read(100)) == 100
+    assert process.wait() == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

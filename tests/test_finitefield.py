@@ -131,6 +131,23 @@ def test_tables_and_embedding_never_list_the_field(monkeypatch):
     assert image == embed_field(small, cached).generator_image
 
 
+def test_field_tables_are_compact():
+    # exp, log, Zech and orbit positions are 4-byte arrays and the y-side
+    # histogram is bytes: a fresh GF(2^16) keeps under 1.5 MiB of them
+    # (about 6.2 MiB as lists of ints).
+    modulus = _find_modulus(2, 16)
+    tracemalloc.start()
+    try:
+        ctx = FieldContext(2, 16, modulus)
+        ctx.log_tables()
+        ctx.frobenius_orbits(4)
+        ctx.artin_schreier_counter()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 3 << 19
+
+
 def test_contexts_are_cached():
     assert make_field_context(3, 2) is make_field_context(3, 2)
 
@@ -275,12 +292,13 @@ def test_exp_table_multiplies_like_schoolbook(small_contexts):
 
 def test_exp_table_equals_schoolbook_walk(small_contexts):
     for ctx in _table_contexts(small_contexts) + [make_field_context(17, 2)]:
-        assert ctx.log_tables()[0] == reference_exp(ctx), ctx
+        assert list(ctx.log_tables()[0]) == reference_exp(ctx), ctx
 
 
-# sha256 of repr(log_tables()) per field.  They were computed with the walk
-# that built one coefficient tuple per element (add_t, then index_of), so they
-# pin that the packed walk gives the same exp, log and Zech lists.
+# sha256 of repr(log_tables()) per field, each table read as a list.  They
+# were computed with the walk that built one coefficient tuple per element
+# (add_t, then index_of), so they pin that the packed walk gives the same
+# exp, log and Zech tables.
 LOG_TABLES_SHA256 = {
     (2, 16): "abd08c0b59be4d1eaccc3e0ff0ec0a3e7787f6b55b7f0696393346ea41f16ea9",
     (3, 10): "b1a87d4cf2cb0b115e9b372768c2da239fd33dc73785051bd4f363ba01e1a885",
@@ -300,7 +318,8 @@ LOG_TABLES_SHA256 = {
 @pytest.mark.parametrize("p,b", sorted(LOG_TABLES_SHA256))
 def test_log_tables_are_pinned(p, b):
     tables = make_field_context(p, b).log_tables()
-    assert hashlib.sha256(repr(tables).encode()).hexdigest() == LOG_TABLES_SHA256[p, b]
+    digest = hashlib.sha256(repr(tuple(map(list, tables))).encode()).hexdigest()
+    assert digest == LOG_TABLES_SHA256[p, b]
 
 
 # The largest digit sum 2p - 2 is a power of two for p = 2, 3, 5, 17 and 257,
@@ -347,7 +366,7 @@ def test_y_side_histogram_matches_enumeration(small_contexts):
             values = [reference_mul(ctx, y, y) for y in ctx.element_tuples()]
         expected = Counter(log[ctx.index_of(v)] for v in values)
         assert sum(hist) == q
-        assert hist == [expected[k] for k in range(q)], ctx
+        assert list(hist) == [expected[k] for k in range(q)], ctx
 
 
 def _schoolbook_eval(ctx, coeffs, x):

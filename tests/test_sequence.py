@@ -283,6 +283,22 @@ def test_excluded_n_to_1e5_have_a_residue_proof():
                        for m in SIEVE_MODULI), (q, a, n)
 
 
+def test_an_odd_valuation_excludes_a_survivor_before_its_exact_root(monkeypatch):
+    """N_n for (29, 4, 226,800) is a square modulo every sieve modulus, but it
+    is 97 * 73 mod 97^2: 97 divides it exactly once, so it is no square, and
+    the scan never builds its 1.1-million-bit count."""
+    q, a, n = 29, 4, 226800
+    assert all((pow(q, n, m) + 1 - _trace_mod(q, a, n, m)) % m in SQUARES_MOD[m]
+               for m in SIEVE_MODULI)
+    assert (pow(q, n, 97 ** 2) + 1 - _trace_mod(q, a, n, 97 ** 2)) % 97 ** 2 == 97 * 73
+    bits = []  # of each count that reaches the exact root
+    exact = sequence.perfect_square_root
+    monkeypatch.setattr(sequence, "perfect_square_root",
+                        lambda N: bits.append(N.bit_length()) or exact(N))
+    assert square_hits_scan(q, a, n) == []
+    assert bits == []
+
+
 @pytest.mark.parametrize("q, a, n, u", [
     # (2, 2) has m = 4 and a_4 = -8, so c = -4 and N_4 = (-4 - 1)^2.
     (2, 2, 4, 5),
