@@ -19,11 +19,12 @@ the same arguments, so object identity doubles as field identity.  A context
 is immutable after construction apart from internally cached lookup tables.
 
 ``mul_t`` is the one multiply, by Kronecker substitution: u and v, packed one
-digit per w-bit slot with w = (b (p - 1)^2).bit_length(), give one int product
-whose 2b - 1 digits are the coefficients of u(t) v(t); the top b - 1 reduce by
-cached rows t^b, ..., t^(2b-2).  Inverses are u^(q-2).  The exp table sums
-multiples of the rows g * t^j (``_t_rows``) and embeddings sum digits times
-rows (``_combine``).
+digit per w-bit slot, give one int product whose 2b - 1 digits are the
+coefficients of u(t) v(t).  Each of the top b - 1 digits, times the cached
+packed row t^(b+j), adds into the low b slots, which are unpacked once: O(b)
+int operations.  A low slot then holds at most b (p - 1)^2 (1 + (b - 1)(p - 1)),
+which sets w.  Inverses are u^(q-2).  The exp table sums multiples of the rows
+g * t^j (``_t_rows``) and embeddings sum digits times rows (``_combine``).
 
 The int-indexed tables come from index arithmetic, never from listing the
 field.  An element's index is its coefficients read as base-p digits
@@ -44,7 +45,7 @@ coefficients in GF(q') takes q'-th powers of its values along an orbit of
 x -> x^q', and an orbit shorter than n = log_q' q lies in a proper
 subfield, so ``frobenius_orbits(n)`` gives a curve over GF(q') about q / n
 positions to count: those subfields once each, and one position of each
-other orbit n times.
+other orbit n times, generated from its base-q' digits.
 
 The cached tables are flat: exp, log, zech and each orbit set R are 4-byte
 ``array("i")`` (q <= 2^20 fits), 12 bytes per element for the three log
@@ -113,8 +114,9 @@ class FieldContext:
         self._square_counter: bytes | None = None
         self._as_counter: bytes | None = None
         self._frobenius_orbits: dict[int, list[tuple[int, Sequence[int]]]] = {}
-        self._slot = (b * (p - 1) ** 2).bit_length()
-        self._high_rows = self._t_rows(self._times_t((0,) * (b - 1) + (1,)))[:b - 1]
+        w = self._slot = (b * (p - 1) ** 2 * (1 + (b - 1) * (p - 1))).bit_length()
+        self._high_rows = [sum(c << (w * i) for i, c in enumerate(row))
+                           for row in self._t_rows(self._times_t((0,) * (b - 1) + (1,)))[:b - 1]]
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.b})"
@@ -147,17 +149,19 @@ class FieldContext:
         return rows
 
     def mul_t(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        """u * v by Kronecker substitution: one int product of the packed digits."""
+        """u * v by Kronecker substitution: one int product of the packed digits,
+        whose high digits fold into the low slots as multiples of packed rows."""
         w, b = self._slot, self.b
         x = y = 0
         for c, d in zip(reversed(u), reversed(v)):
             x, y = (x << w) | c, (y << w) | d
         z, mask = x * y, (1 << w) - 1
-        out = [z >> (w * j) & mask for j in range(b)]
-        for j, row in enumerate(self._high_rows, b):
-            if c := z >> (w * j) & mask:
-                out = [a + c * r for a, r in zip(out, row)]
-        return tuple(a % self.p for a in out)
+        low, high = z & ((1 << (w * b)) - 1), z >> (w * b)
+        for row in self._high_rows:
+            low += (high & mask) * row
+            high >>= w
+        p = self.p
+        return tuple([(low >> s & mask) % p for s in range(0, w * b, w)])
 
     def _combine(self, digits: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         """The sum of digits[j] * rows[j] over Z_p."""
@@ -308,24 +312,40 @@ class FieldContext:
 
     def frobenius_orbits(self, n: int) -> list[tuple[int, Sequence[int]]]:
         """[(1, S), (n, R)], cached, for this field as a degree-n extension of
-        GF(q0): S is x = 0 and the proper subfields' positions, R the least
-        position of each other orbit of x -> x^q0 (k -> k q0 mod (q - 1)), all
-        of them n long."""
+        GF(q0): S is x = 0 and the proper subfields' positions, sorted, R the
+        least position of each other orbit of x -> x^q0, all n long, in no
+        promised order.
+
+        On positions x -> x^q0 is k -> k q0 mod (q - 1), which rotates the n
+        base-q0 digits of k.  So R holds the k whose digits, leading first, are
+        below each other rotation of them: k starts with its least digit d and,
+        if n > 1, ends above it.  Such a k with no other digit d is in R; the
+        rest, about q / q0, keep the filter k < k q0^j mod (q - 1) for
+        1 < j < n - 1 (rotating by 1 or n - 1 cannot undercut them)."""
         groups = self._frobenius_orbits.get(n)
         if groups is None:
             if n < 1 or self.b % n:
                 raise DomainError(f"{self!r} is not a degree-{n} extension of a subfield")
             m, q0 = self.q - 1, self.p ** (self.b // n)
-            # An orbit's least position is the one no k q0^j mod m, 0 < j < n,
-            # undercuts.  An orbit shorter than n lies in a GF(q0^j) with j | n,
-            # that is q0^j - 1 | m: the positions that m / (q0^j - 1) divides.
-            short, reps = {m}, range(m)
-            for t in (q0 ** j for j in range(1, n)):
-                # k = k t mod m puts k on a short orbit, which this drops too.
-                reps = [k for k in reps if k < k * t % m]
+            # An orbit shorter than n lies in a GF(q0^j) with j | n, that is
+            # q0^j - 1 | m: the positions that m / (q0^j - 1) divides.
+            ts, short = [q0 ** j for j in range(1, n)], {m}
+            for t in ts:
                 if m % (t - 1) == 0:
                     short.update(range(0, m, m // (t - 1)))
-            groups = [(1, sorted(short)), (n, reps if n == 1 else array("i", reps))]
+            reps = []
+            for d in range(q0 if n > 1 else 0):
+                # d, then middle digits > d (above) or >= d with a d (ties).
+                above, ties = [d], []
+                for _ in range(n - 2):
+                    ties = [k * q0 + c for k in ties for c in range(d, q0)]
+                    ties += [k * q0 + d for k in above]
+                    above = [k * q0 + c for k in above for c in range(d + 1, q0)]
+                ties = [k * q0 + c for k in ties for c in range(d + 1, q0)]
+                for t in ts[1:-1]:
+                    ties = [k for k in ties if k < k * t % m]
+                reps += [k * q0 + c for k in above for c in range(d + 1, q0)] + ties
+            groups = [(1, sorted(short)), (n, range(m) if n == 1 else array("i", reps))]
             self._frobenius_orbits[n] = groups
         return groups
 

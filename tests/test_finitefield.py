@@ -235,11 +235,13 @@ def test_mul_matches_schoolbook_large_degree():
                 assert ctx.mul_t(u, ctx.inv_t(u)) == ctx.one_t
 
 
-# mul_t's slots are w = (b (p - 1)^2).bit_length() bits, and u = v = all
-# digits p - 1 puts exactly b (p - 1)^2 at t^(b-1), which w - 1 bits cannot
-# hold: 2^17 for (257, 2), 1 in a one-bit slot for (2, 1).  GF(3^13) is past
-# the field-size guard, so it is built directly.
-@pytest.mark.parametrize("p,b", [(2, 1), (2, 20), (257, 2), (1021, 1), (3, 13)])
+# mul_t adds each high digit times a packed row t^(b+j) into the low slots
+# before it unpacks them, so a low slot holds up to b (p - 1)^2 (1 + (b - 1)
+# (p - 1)), and u = v = all digits p - 1 comes nearest.  These fields span
+# the slot widths from 1 bit at (2, 1) to 20 bits at (1021, 1).  GF(3^13) is
+# past the field-size guard, so it is built directly.
+@pytest.mark.parametrize("p,b", [(2, 1), (2, 20), (257, 2), (1021, 1), (3, 13),
+                                 (3, 12), (5, 8), (31, 4)])
 def test_mul_at_slot_width_edges(p, b):
     ctx = FieldContext(p, b, _find_modulus(p, b))
     top = (p - 1,) * b
@@ -249,6 +251,10 @@ def test_mul_at_slot_width_edges(p, b):
         u = tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(b))
         assert ctx.mul_t(u, top) == reference_mul(ctx, u, top)
         assert ctx.mul_t(top, u) == reference_mul(ctx, top, u)
+    for _ in range(200):
+        u = tuple(rng.randrange(p) for _ in range(b))
+        v = tuple(rng.randrange(p) for _ in range(b))
+        assert ctx.mul_t(u, v) == reference_mul(ctx, u, v), (u, v)
 
 
 # -- counting tables -----------------------------------------------------------
@@ -460,6 +466,19 @@ def test_frobenius_orbits_partition_the_positions_for_every_subfield(small_conte
                 assert len(walk) == n and k == min(walk), (ctx, n, k)
                 covered += walk
             assert sorted(covered) == list(range(ctx.q)), (ctx, n)
+
+
+@pytest.mark.parametrize("p,b,n", [(2, 16, 4), (3, 10, 5), (3, 9, 3), (5, 6, 3), (7, 4, 2)])
+def test_frobenius_orbit_representatives_at_oracle_scale(p, b, n):
+    # k -> k q0 mod (q - 1) rotates k's n base-q0 digits, so an orbit of
+    # length n has exactly one position whose digit string, leading digit
+    # first, is below each of its other rotations.  product() lists the
+    # strings in position order, and the last one, all q0 - 1, is q - 1.
+    q0 = p ** (b // n)
+    _, (_, reps) = make_field_context(p, b).frobenius_orbits(n)
+    expected = {k for k, s in enumerate(itertools.product(range(q0), repeat=n))
+                if all(s < s[j:] + s[:j] for j in range(1, n))}
+    assert len(reps) == len(expected) and set(reps) == expected
 
 
 def test_frobenius_orbits_refuse_a_non_subfield():
