@@ -314,7 +314,7 @@ class FieldContext:
         """[(1, S), (n, R)], cached, for this field as a degree-n extension of
         GF(q0): S is x = 0 and the proper subfields' positions, sorted, R the
         least position of each other orbit of x -> x^q0, all n long, in no
-        promised order.
+        promised order.  At n = 1 every orbit is one position: [(1, range(q))].
 
         On positions x -> x^q0 is k -> k q0 mod (q - 1), which rotates the n
         base-q0 digits of k.  So R holds the k whose digits, leading first, are
@@ -345,7 +345,8 @@ class FieldContext:
                 for t in ts[1:-1]:
                     ties = [k for k in ties if k < k * t % m]
                 reps += [k * q0 + c for k in above for c in range(d + 1, q0)] + ties
-            groups = [(1, sorted(short)), (n, range(m) if n == 1 else array("i", reps))]
+            groups = ([(1, range(self.q))] if n == 1
+                      else [(1, sorted(short)), (n, array("i", reps))])
             self._frobenius_orbits[n] = groups
         return groups
 

@@ -593,12 +593,30 @@ def test_search_beyond_the_paper_qmax_200_is_pinned(capsys):
 DEGENERATE_ONLY_SHA256 = "d50193020f2eb615cf60927dcce451f9b4e9202f7e71a98f6bb02fb597718afc"
 
 
+# The same search in the other formats: the same hits through their own row
+# functions, after one header line.
+DEGENERATE_ONLY_FORMAT_SHA256 = {
+    "csv": "72a109baa182d2c069af21f2a8b12d03250d363a87d9bb64dd3d2f577df6c6c1",
+    "table": "240e793fbd749c47c8240d292e0fef2a13ba209f991a3e51621dd4b05f598281",
+}
+
+
 def test_search_degenerate_only_is_pinned(capsys):
     code, out, err = run_cli(capsys, "search", "--degenerate", "only")
     assert code == 0
     assert len(out.splitlines()) == 25835
     assert "from 50 (q, a) pairs" in err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEGENERATE_ONLY_SHA256
+
+
+def test_search_degenerate_only_is_pinned_in_csv_and_table(capsys):
+    digests = {}
+    for fmt in DEGENERATE_ONLY_FORMAT_SHA256:
+        code, out, _ = run_cli(capsys, "search", "--degenerate", "only", "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 25835
+        digests[fmt] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == DEGENERATE_ONLY_FORMAT_SHA256
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -652,11 +670,11 @@ def test_render_records_prints_counts_past_the_int_str_digit_limit():
 
 def _plain_rows(hits, fmt, digits):
     """The rows render_records prints, with N and u from ``digits`` (the hits'
-    str(u * u), str(u) pairs) and admissibility per row."""
-    row = FORMATS[fmt][1]
-    return "".join(row((h.q.q, h.q.p, h.q.b, h.a, h.n, big_n, u, h.degenerate_m,
-                        waterhouse_admissible(h.q, h.a), h.source)) + "\n"
-                   for h, (big_n, u) in zip(hits, digits))
+    str(u * u), str(u) pairs), and each row's pair cells and admissibility
+    taken afresh from its own hit."""
+    pair_rows = FORMATS[fmt][1]
+    return "".join(pair_rows(h.q, h.a, h.degenerate_m, waterhouse_admissible(h.q, h.a))(
+        h.n, big_n, u, h.source) for h, (big_n, u) in zip(hits, digits))
 
 
 @functools.cache
@@ -697,6 +715,33 @@ def test_cycle_row_disagreeing_with_its_hit_raises():
         render_records([hit, wrong], "jsonl")
     with pytest.raises(RuntimeError, match="disagree"):
         render_records([wrong], "csv")
+
+
+def test_cycle_row_off_in_its_18th_digit_raises():
+    # The check reads 18 low digits: u off by 10^17 differs only in the 18th.
+    hit = guaranteed_square(49, 7, 300)
+    wrong = hit._replace(u=hit.u + 10 ** 17)
+    for fmt in ("jsonl", "csv", "table"):
+        with pytest.raises(RuntimeError, match="disagree"):
+            render_records([hit, wrong], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
+def test_a_pair_that_comes_back_renders_as_its_hits_alone(fmt):
+    """Hits of pairs A, B, A: the third run restarts A's decimal powers, and the
+    rows are those of each hit rendered alone.  The exact decimal context ends
+    with each run, so the caller's context is the same afterwards."""
+    import decimal
+
+    every = run_search(SearchConfig(qmax=10, nmax=60, degeneracy="include")).hits
+    a = [hit for hit in every if (hit.q.q, hit.a) == (9, 6)]
+    b = [hit for hit in every if (hit.q.q, hit.a) == (8, 4)]
+    assert len(a) > 4 and b
+    hits = a[:3] + b + a[3:]
+    before = decimal.getcontext().prec
+    assert render_records(hits, fmt, header=False) == "".join(
+        render_records([hit], fmt, header=False) for hit in hits)
+    assert decimal.getcontext().prec == before
 
 
 # Per command: a good call, a usage error and a domain error.  paper-check

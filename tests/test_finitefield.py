@@ -452,6 +452,11 @@ def test_frobenius_orbits_partition_the_positions_for_every_subfield(small_conte
             q0 = ctx.p ** (ctx.b // n)
             groups = ctx.frobenius_orbits(n)
             assert ctx.frobenius_orbits(n) is groups
+            if n == 1:
+                # Every orbit is one position: one group, each position once.
+                (one, positions), = groups
+                assert one == 1 and sorted(positions) == list(range(ctx.q)), ctx
+                continue
             (one, short), (weight, reps) = groups
             assert (one, weight) == (1, n), (ctx, n)
             # S: x = 0 and the positions of every proper subfield GF(q0^j), j | n.
