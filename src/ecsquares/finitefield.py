@@ -24,7 +24,8 @@ coefficients of u(t) v(t).  Each of the top b - 1 digits, times the cached
 packed row t^(b+j), adds into the low b slots, which are unpacked once: O(b)
 int operations.  A low slot then holds at most b (p - 1)^2 (1 + (b - 1)(p - 1)),
 which sets w.  Inverses are u^(q-2).  The exp table sums multiples of the rows
-g * t^j (``_t_rows``) and embeddings sum digits times rows (``_combine``).
+g * t^j (``_t_rows``); an embedding maps a tuple by Horner's rule in the
+generator's image, with ``mul_t`` and ``add_t``.
 
 The int-indexed tables come from index arithmetic, never from listing the
 field.  An element's index is its coefficients read as base-p digits
@@ -109,9 +110,7 @@ class FieldContext:
         self.modulus = modulus
         self.zero_t: tuple[int, ...] = (0,) * b
         self.one_t: tuple[int, ...] = (1,) + (0,) * (b - 1)
-        self._element_list: list[tuple[int, ...]] | None = None
         self._log_tables: tuple[array, array, array] | None = None
-        self._square_counter: bytes | None = None
         self._as_counter: bytes | None = None
         self._frobenius_orbits: dict[int, list[tuple[int, Sequence[int]]]] = {}
         w = self._slot = (b * (p - 1) ** 2 * (1 + (b - 1) * (p - 1))).bit_length()
@@ -163,14 +162,6 @@ class FieldContext:
         p = self.p
         return tuple([(low >> s & mask) % p for s in range(0, w * b, w)])
 
-    def _combine(self, digits: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        """The sum of digits[j] * rows[j] over Z_p."""
-        out = self.zero_t
-        for c, row in zip(digits, rows):
-            if c:
-                out = tuple(a + c * x for a, x in zip(out, row))
-        return tuple(a % self.p for a in out)
-
     def inv_t(self, u: tuple[int, ...]) -> tuple[int, ...]:
         if not any(u):
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
@@ -191,10 +182,8 @@ class FieldContext:
     # -- enumeration ----------------------------------------------------------
 
     def element_tuples(self) -> list[tuple[int, ...]]:
-        """All q coefficient tuples in lexicographic order, cached."""
-        if self._element_list is None:
-            self._element_list = list(itertools.product(range(self.p), repeat=self.b))
-        return self._element_list
+        """All q coefficient tuples in lexicographic order, a new list each call."""
+        return list(itertools.product(range(self.p), repeat=self.b))
 
     # -- int-indexed tables and the one polynomial evaluator ------------------
 
@@ -353,9 +342,7 @@ class FieldContext:
     def square_counter(self) -> bytes:
         """Number of y with y*y = v, indexed by log v (odd characteristic):
         g^k and g^(k + (q-1)/2) square to g^(2k), and only 0 to 0."""
-        if self._square_counter is None:
-            self._square_counter = b"\x02\x00" * ((self.q - 1) // 2) + b"\x01"
-        return self._square_counter
+        return b"\x02\x00" * ((self.q - 1) // 2) + b"\x01"
 
     def artin_schreier_counter(self) -> bytes:
         """Number of y with y*y + y = v, indexed by log v (characteristic 2):
@@ -422,19 +409,19 @@ def make_field_context(p: int, b: int) -> FieldContext:
 class FieldEmbedding:
     """A field homomorphism GF(p^b) -> GF(p^(b*n)) fixing the prime field."""
 
-    __slots__ = ("big", "generator_image", "_gen_powers")
+    __slots__ = ("big", "generator_image")
 
-    def __init__(self, small: FieldContext, big: FieldContext,
-                 generator_image: tuple[int, ...]):
+    def __init__(self, big: FieldContext, generator_image: tuple[int, ...]):
         self.big = big
         self.generator_image = generator_image
-        powers = [big.one_t]
-        for _ in range(small.b - 1):
-            powers.append(big.mul_t(powers[-1], generator_image))
-        self._gen_powers = powers
 
     def map_tuple(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        return self.big._combine(coeffs, self._gen_powers)
+        """Sum of c_i gamma^i, gamma the generator's image, by Horner's rule from the top."""
+        big = self.big
+        out = big.smul_t(coeffs[-1], big.one_t)
+        for c in reversed(coeffs[:-1]):
+            out = big.add_t(big.mul_t(out, self.generator_image), big.smul_t(c, big.one_t))
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,4 +453,4 @@ def embed_field(small: FieldContext, big: FieldContext) -> FieldEmbedding:
     # index_of read backwards: coefficient i is base-p digit b - 1 - i of the index.
     root = min(roots)
     image = tuple(root // big.p ** j % big.p for j in reversed(range(big.b)))
-    return FieldEmbedding(small, big, image)
+    return FieldEmbedding(big, image)

@@ -158,7 +158,7 @@ FORMATS = {
 def render_records(hits: list[SquareHit], fmt: str, header: bool = True,
                    config: SearchConfig | None = None) -> str:
     """The hits' lines in one format, after its header line unless ``header`` is
-    false; admissibility is computed once per (q, a) pair.  A table is laid out
+    false; admissibility is computed once per run.  A table is laid out
     for every hit ``config``'s search can find, so its calls' rows align.
     Each run of one pair's hits prints through one row function (``_rows``);
     ``decimal`` is imported only when there are cycle rows."""
@@ -167,11 +167,9 @@ def render_records(hits: list[SquareHit], fmt: str, header: bool = True,
     head, pair_rows = FORMATS[fmt]
     if fmt == "table" and config is not None:
         head, pair_rows = _table_format(config.qmax, config.nmax)
-    lines, admissible = [head + "\n" if head is not None and header else ""], {}
+    lines = [head + "\n" if head is not None and header else ""]
     with unlimited_int_str():
         pairs = itertools.groupby(hits, operator.attrgetter("q", "a", "degenerate_m"))
         for (pp, a, m), run in pairs:
-            if (pp, a) not in admissible:
-                admissible[pp, a] = waterhouse_admissible(pp, a)
-            lines += _rows(run, m, pair_rows(pp, a, m, admissible[pp, a]))
+            lines += _rows(run, m, pair_rows(pp, a, m, waterhouse_admissible(pp, a)))
     return "".join(lines)

@@ -148,6 +148,26 @@ def test_field_tables_are_compact():
     assert retained < 3 << 19
 
 
+@pytest.mark.parametrize("p,b,method", [(2, 16, "element_tuples"), (3, 10, "square_counter")])
+def test_a_dropped_listing_or_histogram_leaves_nothing_behind(p, b, method):
+    # Each call builds its result afresh: once the caller drops it, the
+    # context holds none of it (a kept GF(2^16) listing is about 12 MB, a
+    # kept GF(3^10) histogram 59 KB).  The bound is relative because
+    # CPython's tuple free list keeps up to 2,000 of the freed 16-tuples,
+    # about 0.3 MB.
+    ctx = FieldContext(p, b, _find_modulus(p, b))
+    tracemalloc.start()
+    try:
+        result = getattr(ctx, method)()
+        held = tracemalloc.get_traced_memory()[0]
+        assert len(result) == ctx.q
+        del result
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < held / 16
+
+
 def test_contexts_are_cached():
     assert make_field_context(3, 2) is make_field_context(3, 2)
 
@@ -577,7 +597,11 @@ def test_embed_rejects_non_dividing_degree():
         embed_field(make_field_context(2, 2), make_field_context(3, 2))
 
 
-@pytest.mark.parametrize("small,big", [((2, 2), (2, 4)), ((3, 2), (3, 4)), ((2, 3), (2, 6))])
+# The last five are the embeddings the oracle benchmark counts through.
+@pytest.mark.parametrize("small,big", [
+    ((2, 2), (2, 4)), ((3, 2), (3, 4)), ((2, 3), (2, 6)),
+    ((2, 4), (2, 8)), ((2, 4), (2, 16)), ((3, 2), (3, 10)), ((5, 2), (5, 6)), ((7, 2), (7, 4)),
+])
 def test_embedding_is_a_homomorphism(small, big):
     rng = random.Random(31)
     s = make_field_context(*small)
@@ -589,6 +613,11 @@ def test_embedding_is_a_homomorphism(small, big):
         assert emb(s.add_t(x, y)) == b.add_t(emb(x), emb(y))
         assert emb(s.mul_t(x, y)) == b.mul_t(emb(x), emb(y))
     assert emb(s.one_t) == b.one_t
+    # One-to-one onto the copy of the small field: positions 0, d, 2d, ...,
+    # q - 1 (zero) with d = (q - 1) / (q' - 1).
+    _, log, _ = b.log_tables()
+    positions = sorted(log[b.index_of(emb(x))] for x in elems)
+    assert positions == list(range(0, b.q, (b.q - 1) // (s.q - 1)))
 
 
 # -- rendering -----------------------------------------------------------------
