@@ -7,20 +7,23 @@ squares are the even powers of g; y^2 + y is additive, kernel {0, 1}).  In odd
 characteristic the square is completed first, so the lookup is at
 f(x) = x^3 + a2 x^2 + a4 x + a6; in characteristic 2 it is at f(x) / L(x)^2
 with L = a1 x + a3, and an x with L(x) = 0 gives one point.  The loop over x
-runs on the field's log and Zech tables.  No point-counting theory beyond
-the defining equation is used, which is the point: these counts
-independently validate the trace recurrence.  A base-changed curve has its
-coefficients in GF(q) inside GF(q^n), so x -> x^q maps the points above x
-one-to-one onto those above x^q (Silverman, *The Arithmetic of Elliptic
-Curves*, ch. V): the x-side runs on the proper subfields of GF(q^n) once and
-on one x of every other orbit of that map n times, about q^n / n x.  The
-log/Zech tables still cover all of GF(q^n).  A count keeps its x-side as two
-4-byte arrays, 8 bytes per x (64 as a (u, s) tuple per x), which holds the
-GF(2^20) count's peak at about 133 MiB RSS.
+runs on the field's log and Zech tables: Horner's rule gives log L(x) and
+log(x^2 + a2 x + a4), and one last pass multiplies by x, adds a6, divides by
+L(x)^2 and reads the histogram.  No point-counting theory beyond the
+defining equation is used, which is the point: these counts independently
+validate the trace recurrence.  A base-changed curve has its coefficients
+in GF(q) inside GF(q^n), so x -> x^q maps the points above x one-to-one
+onto those above x^q (Silverman, *The Arithmetic of Elliptic Curves*,
+ch. V): the x-side runs on the proper subfields of GF(q^n) once and on one
+x of every other orbit of that map n times, about q^n / n x.  The log/Zech
+tables still cover all of GF(q^n).
 
 Trace realization sweeps reduced families covering every isomorphism class,
-one row (a1, a2, a3, a4) at a time: the x-side is found once per row, then
-each nonsingular a6 is counted.
+one row (a1, a2, a3, a4) at a time, and takes the row's counts at every a6
+from one transform of its x-side, not from q counts (``_row_counts``): a
+big-int correlation over the additive group in odd characteristic, trace
+character sums in characteristic 2 (the ordinary family's are Kloosterman
+sums: Lachaud and Wolfmann, IEEE Trans. Inform. Theory 36, 1990).
 
 * p > 3:  y^2 = x^3 + A x + B              rows A
 * p = 3:  y^2 = x^3 + a4 x + a6            rows a4 != 0, then
@@ -34,15 +37,18 @@ x -> u^2 x scales A and a4 by u^4, a2 by u^2 and a3 by u^3 (class key: log
 mod gcd(n, q - 1) for u^n, zero apart); for p = 3, x -> x + a4 / a2 takes
 row (a2, a4) to (a2, 0); for p = 2, y -> y + s x moves a2 by s^2 + s, and
 x -> x + s^2 moves a4 by s^4 + a3 s (key: the coset of that image).  So a
-field costs at most 8 rows, about 8 q^2 x-steps.
+field costs at most 8 rows, each a few passes over q x and one big-int
+product of at most (2p - 1)^b slots.
 The short form is singular for every coefficient choice in characteristic
 2, so the split families there are mandatory, not an optimization.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from array import array
+import struct
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -56,7 +62,7 @@ from .finitefield import (
 from .traces import PrimePower, _checked_q
 
 DEFAULT_COUNT_LIMIT = 1 << 16
-REALIZATION_Q_LIMIT = 1024  # realize_trace sweeps at most 8 rows of q counts (module docstring)
+REALIZATION_Q_LIMIT = 1024  # realize_trace: at most 8 rows, a transform each (module docstring)
 
 
 @dataclass(frozen=True)
@@ -125,63 +131,54 @@ def count_points_naive(curve: WeierstrassCurve) -> int:
 
 
 def _count_curve(ctx: FieldContext, n: int, quint) -> int:
-    """Total points (with infinity) of y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6,
-    a curve with coefficients in the subfield of which ctx is a degree-n extension."""
-    a1, a2, a3, a4, a6 = quint
-    return 1 + _affine_counter(ctx, n, a1, a2, a3, a4)(a6)
-
-
-def _affine_counter(ctx: FieldContext, n: int, a1, a2, a3, a4):
-    """a6 -> affine points of y^2 + L(x) y = x^3 + a2 x^2 + a4 x + a6, L = a1 x + a3.
+    """Total points (with infinity) of y^2 + L(x) y = x^3 + a2 x^2 + a4 x + a6,
+    L = a1 x + a3, a curve with coefficients in the subfield of which ctx is
+    a degree-n extension; x runs on ``frobenius_orbits(n)`` (module docstring).
 
     In odd characteristic the square is completed first, which leaves L = 1
     and the y-side y^2.  In characteristic 2, y = L z turns the y-side into
     L^2 (z^2 + z), and an x with L(x) = 0 has exactly one point because
     squaring is a bijection.  Either way an x with L(x) != 0 has as many
     points as the y-side histogram holds at f(x) / L(x)^2.  Everything runs
-    in the log domain: ``poly_logs`` finds log(x^2 + a2 x + a4) and log L(x)
-    once per x, the pass that keeps the x with L(x) != 0 adds log x, and
-    then each a6 costs one Zech addition per x.
-    With the coefficients, a6 included, in the subfield of which ctx is a
-    degree-n extension, x runs on ``frobenius_orbits(n)`` (module docstring).
+    in the log domain: ``poly_logs`` finds log L(x) and log u(x), u the
+    quotient of x^2 + a2 x + a4 by the highest power x^(e - 1) dividing it;
+    one last pass per x multiplies u by x^e, adds a6 by a Zech step, takes
+    off 2 log L(x) and reads the histogram.
     """
+    a1, a2, a3, a4, a6 = quint
     hist = ctx.artin_schreier_counter() if ctx.p == 2 else ctx.square_counter()
     _, log, zech = ctx.log_tables()
     m = ctx.q - 1
-    add = ctx.add_t
-    a6_shift = ctx.zero_t
     if ctx.p != 2:
         # Complete the square: y -> y - (a1 x + a3)/2 leaves y^2 on the left
         # and adds (a1 x + a3)^2 / 4 on the right.
-        mul, smul = ctx.mul_t, ctx.smul_t
+        add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
         inv2 = pow(2, -1, ctx.p)
         inv4 = inv2 * inv2
         a2 = add(a2, smul(inv4, mul(a1, a1)))
         a4 = add(a4, smul(inv2, mul(a1, a3)))
-        a6_shift = smul(inv4, mul(a3, a3))
+        a6 = add(a6, smul(inv4, mul(a3, a3)))
         a1, a3 = ctx.zero_t, ctx.one_t
-
-    groups = []
+    c = log[ctx.index_of(a6)]
+    u_coeffs, e = [ctx.one_t, a2, a4], 1
+    while not any(u_coeffs[-1]):
+        u_coeffs.pop()
+        e += 1
+    total = 1
     for weight, positions in ctx.frobenius_orbits(n):
-        quadratic = ctx.poly_logs([ctx.one_t, a2, a4], positions)
-        lines = ctx.poly_logs([a1, a3], positions)
-        us = array("i", [m if u == m or k == m else (u + k) % m
-                         for k, u, l in zip(positions, quadratic, lines) if l != m])
-        ss = array("i", [-2 * l % m for l in lines if l != m])
-        groups.append((weight, len(positions) - len(us), us, ss))
-
-    def affine(c, vertical, us, ss) -> int:
+        us = ctx.poly_logs(u_coeffs, positions)
+        ls = ctx.poly_logs([a1, a3], positions)
+        # x^e u(x) + a6 is a6 where u or x is zero, else one Zech step from it.
         if c == m:
-            return vertical + sum([hist[u if u == m else (u + s) % m] for u, s in zip(us, ss)])
-        return vertical + sum([
-            hist[(c + s) % m if u == m else m if (w := zech[u - c]) == m else (c + w + s) % m]
-            for u, s in zip(us, ss)])
-
-    def count(a6) -> int:
-        c = log[ctx.index_of(add(a6, a6_shift))]
-        return sum(weight * affine(c, vertical, us, ss) for weight, vertical, us, ss in groups)
-
-    return count
+            points = [1 if l == m else hist[m if u == m or k == m else (u + e * k - 2 * l) % m]
+                      for k, u, l in zip(positions, us, ls)]
+        else:
+            points = [1 if l == m else hist[(c - 2 * l) % m if u == m or k == m
+                                            else m if (w := zech[(u + e * k - c) % m]) == m
+                                            else (c + w - 2 * l) % m]
+                      for k, u, l in zip(positions, us, ls)]
+        total += weight * sum(points)
+    return total
 
 
 # -- trace realization --------------------------------------------------------
@@ -219,11 +216,73 @@ def _realization_table(pp: PrimePower) -> dict[int, tuple]:
         ctx = make_field_context(pp.p, pp.b)
         table = {}
         for prefix, a6s in _families(ctx):
-            count = _affine_counter(ctx, 1, *prefix)
+            counts = _row_counts(ctx, prefix)
             for a6 in a6s:
-                table.setdefault(ctx.q - count(a6), prefix + (a6,))
+                table.setdefault(ctx.q - counts[ctx.index_of(a6)], prefix + (a6,))
         _REALIZATION_CACHE[key] = table
     return table
+
+
+def _row_counts(ctx: FieldContext, row) -> list[int]:
+    """Affine points of the curve row + (a6,) at every a6, by the index of a6,
+    from one transform of the row's x-side (module docstring).
+
+    The row is one that ``_families`` yields: a1 = a3 = 0 in odd
+    characteristic, (1, a2, 0, 0) or (0, 0, a3, a4) in characteristic 2.
+    """
+    a1, a2, a3, a4 = row
+    q, m, p = ctx.q, ctx.q - 1, ctx.p
+    exp, log, _ = ctx.log_tables()
+    if p != 2:
+        # The count at a6 is the sum over v of cnt[v] Y[v + a6], cnt the
+        # histogram of f = x^3 + a2 x^2 + a4 x and Y that of y^2, both by
+        # element.  Base-p index digit j goes to base-(2p - 1) place j, so
+        # the product of cnt at -v and Y at w holds cnt[v] Y[w] at digits
+        # up to 2p - 2, which fold mod p onto the index of w - v.
+        base, b = 2 * p - 1, ctx.b
+        size = base ** b
+        place, neg = [0], [0]
+        for j in range(b):
+            place = [f + d * base ** j for d in range(p) for f in place]
+            neg = [f + -d % p * base ** j for d in range(p) for f in neg]
+        xs, ys = bytearray(4 * size), bytearray(4 * size)
+        for u, c in Counter(ctx.poly_logs([ctx.one_t, a2, a4, ctx.zero_t])).items():
+            xs[4 * neg[0 if u == m else exp[u]]] = c
+        for k in range(0, m, 2):
+            ys[4 * place[exp[k]]] = 2
+        ys[0] = 1  # zero, at place 0, has one root
+        product = int.from_bytes(xs, "little") * int.from_bytes(ys, "little")
+        slots = struct.unpack(f"<{size}I", product.to_bytes(4 * size, "little"))
+        for _ in range(b):
+            # Fold the lowest place mod p; its digit becomes the highest.
+            slots = [t for d in range(p)
+                     for t in (map(int.__add__, slots[d::base], slots[d + p::base])
+                               if d < p - 1 else slots[d::base])]
+        return slots
+    hist = ctx.artin_schreier_counter()
+    if any(a1):
+        # y = x z: an x != 0 has 1 + (-1)^Tr(x + a2 + a6 / x^2) points, and
+        # x = 0 one.  With s_k = Tr(g^k), a6 = g^c and h = 1/2 mod m,
+        # Tr(a6 / x^2) = s_(hc - k), so the sum of (-1)^Tr(x + a6 / x^2) over
+        # x = g^k is m - 4|s| + 4 conv[hc], conv the cyclic self-convolution
+        # of s; at a6 = 0 it is m - 2|s|.
+        s = hist[:m].translate(bytes.maketrans(b"\x00\x02", b"\x01\x00"))
+        packed = bytearray(2 * m)
+        packed[::2] = s
+        square = struct.unpack(f"<{2 * m}H",
+                               (int.from_bytes(packed, "little") ** 2).to_bytes(4 * m, "little"))
+        conv = list(map(int.__add__, square[:m], square[m:]))
+        ones, h = s.count(1), (m + 1) // 2
+        sums = [m - 4 * ones + 4 * conv[c * h % m] for c in range(m)] + [m - 2 * ones]
+        sign = hist[log[ctx.index_of(a2)]] - 1
+        return [q + sign * sums[c] for c in log]
+    # y = a3 z: z^2 + z = f(x) / a3^2 + a6 / a3^2, f = x^3 + a4 x, so the
+    # count is q + (-1)^Tr(a6 / a3^2) T, T the sum of (-1)^Tr(f(x) / a3^2).
+    shift = 2 * log[ctx.index_of(a3)]
+    signs = [hist[m if u == m else (u - shift) % m] - 1 for u in log]
+    fs = ctx.poly_logs([ctx.one_t, ctx.zero_t, a4, ctx.zero_t])
+    total = sum(signs[0 if u == m else exp[u]] for u in fs)
+    return [q + sign * total for sign in signs]
 
 
 def _firsts(rows, key):
@@ -232,6 +291,11 @@ def _firsts(rows, key):
     for row in rows:
         first.setdefault(key(row), row)
     return list(first.values())
+
+
+def _xor_down(x: int, e: int) -> int:
+    """x with e added when that clears e's leading bit."""
+    return min(x, x ^ e)
 
 
 def _families(ctx: FieldContext):
@@ -270,9 +334,16 @@ def _families(ctx: FieldContext):
         for a2 in _firsts(elems, lambda a2: hist[log[ctx.index_of(a2)]] > 0):
             yield (one, a2, zero, zero), elems[1:]
         for a3 in _firsts(elems[1:], power_class(3)):
-            # Indices add by XOR in characteristic 2; s = 0 puts 0 in the image.
-            image = {0, *(exp[k] for k in ctx.poly_logs([one, zero, zero, a3, zero]) if k != m)}
-            for a4 in _firsts(elems, lambda a4: min(map(ctx.index_of(a4).__xor__, image))):
+            # Indices add by XOR in characteristic 2, so the image is a
+            # subspace of them, and reducing by a basis with distinct leading
+            # bits, highest first, gives the least index of a coset.
+            basis = []
+            for k in ctx.poly_logs([one, zero, zero, a3, zero]):
+                v = functools.reduce(_xor_down, basis, 0 if k == m else exp[k])
+                if v:
+                    basis = sorted(basis + [v], reverse=True)
+            for a4 in _firsts(elems, lambda a4: functools.reduce(_xor_down, basis,
+                                                                 ctx.index_of(a4))):
                 yield (zero, zero, a3, a4), elems
 
 

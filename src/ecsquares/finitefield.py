@@ -35,13 +35,14 @@ g^k, for g the first primitive element (zero's log is the sentinel q - 1).
 log(g^i + g^j) = i + zech[j - i] (mod q - 1); its exp table walks the powers
 of g on packed ints, one add of two half-table entries per power, and zech
 is one map of exp through a rotated log.  On them ``poly_logs``, Horner's
-rule at every element at once, is the one polynomial evaluator: for the
-x-side of the point counts (their y-side histograms are read off the group
-structure), the modulus search (no root in any GF(p^d), d <= b/2, means
-irreducible) and embeddings (the small modulus's first root).  Given
-positions it evaluates only there: positions 0, d, 2 d, ..., q - 1 with
-d = (q - 1) / (q' - 1) are exactly the q' elements of the subfield GF(q'),
-the only place an embedding's root can lie.  A polynomial with
+rule at every element at once, one pass per nonzero coefficient (a run of
+zeros joins the next pass as a power of x), is the one polynomial
+evaluator: for the x-side of the point counts (their y-side histograms are
+read off the group structure), the modulus search (no root in any GF(p^d),
+d <= b/2, means irreducible) and embeddings (the small modulus's first
+root).  Given positions it evaluates only there: positions 0, d, 2 d, ...,
+q - 1 with d = (q - 1) / (q' - 1) are exactly the q' elements of the
+subfield GF(q'), the only place an embedding's root can lie.  A polynomial with
 coefficients in GF(q') takes q'-th powers of its values along an orbit of
 x -> x^q', and an orbit shorter than n = log_q' q lies in a proper
 subfield, so ``frobenius_orbits(n)`` gives a curve over GF(q') about q / n
@@ -281,8 +282,11 @@ class FieldContext:
 
         Position k < q - 1 holds x = g^k and position q - 1 holds x = 0; a
         zero value reads q - 1.  This is Horner's rule in the log domain:
-        multiplying by x adds the position, and adding a coefficient g^c
-        takes one Zech step.  Leading zero coefficients cost no pass.
+        multiplying by x^j adds j times the position, and adding a
+        coefficient g^c takes one Zech step.  Leading zero coefficients cost
+        no pass, and a run of j - 1 zeros joins the pass of the nonzero
+        coefficient after it as "times x^j, then plus g^c"; only a run at
+        the end takes a pass of its own.
         """
         _, log, zech = self.log_tables()
         m = self.q - 1
@@ -290,13 +294,16 @@ class FieldContext:
             positions = range(self.q)
         cs = list(itertools.dropwhile(m.__eq__, [log[self.index_of(c)] for c in coeffs])) or [m]
         logs = [cs[0]] * len(positions)
+        j = 0
         for c in cs[1:]:
-            # Times x (zero if u or x is), then plus g^c: nothing at c = m, else a Zech step.
-            if c == m:
-                logs = [m if u == m or k == m else (u + k) % m for k, u in zip(positions, logs)]
-            else:
-                logs = [c if u == m or k == m else m if (w := zech[(u + k - c) % m]) == m
+            j += 1
+            if c != m:
+                # Times x^j (zero if u or x is), then plus g^c by a Zech step.
+                logs = [c if u == m or k == m else m if (w := zech[(u + j * k - c) % m]) == m
                         else (c + w) % m for k, u in zip(positions, logs)]
+                j = 0
+        if j:
+            logs = [m if u == m or k == m else (u + j * k) % m for k, u in zip(positions, logs)]
         return logs
 
     def frobenius_orbits(self, n: int) -> list[tuple[int, Sequence[int]]]:

@@ -18,7 +18,8 @@ from ecsquares import (
     short_weierstrass,
     trace_sequence,
 )
-from ecsquares.curves import _count_curve, _discriminant_t, _families, _realization_table
+from ecsquares.curves import (_count_curve, _discriminant_t, _families, _realization_table,
+                              _row_counts)
 from ecsquares.search import prime_powers_below
 from ecsquares.traces import as_prime_power, hasse_bound
 
@@ -158,10 +159,11 @@ def test_table_count_matches_double_loop_reference(small_contexts):
             assert _count_curve(ctx, 1, quint) == reference_count(ctx, quint), (ctx, quint)
 
 
-@pytest.mark.parametrize("p,b", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,b", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_count_matches_reference_on_every_curve(p, b):
     # Singular curves included: in characteristic 2 this covers a1 = 0,
-    # a1 = 1 with a3 = 0, and a general line a1 x + a3.
+    # a1 = 1 with a3 = 0, and a general line a1 x + a3, so an x with
+    # L(x) = 0; in odd characteristic every run of zero coefficients.
     ctx = make_field_context(p, b)
     for quint in itertools.product(ctx.element_tuples(), repeat=5):
         assert _count_curve(ctx, 1, quint) == reference_count(ctx, quint), (ctx, quint)
@@ -183,6 +185,29 @@ def test_hasse_bound_for_every_curve_over_small_fields():
 
 
 # -- realization ---------------------------------------------------------------
+
+def test_row_transform_matches_direct_counts():
+    # One transform per row against one direct count per curve, at every a6
+    # of every row of every field q <= 128.  The supersingular rows of
+    # characteristic 2 include a6 = 0, where the sign (-1)^Tr(a6 / a3^2) is
+    # +1, not the sign read at log 0: rows (a3, a4) = (1, 1) over GF(2),
+    # (t, 0) over GF(4) and (t^3, 0) over GF(16) tell the two apart.
+    at_zero = {2: ((1,), (1,)), 4: ((0, 1), (0, 0)), 16: ((0, 0, 0, 1), (0, 0, 0, 0))}
+    pps = prime_powers_below(129)
+    assert {2, 3, 4, 9, 16, 27, 81} <= {pp.q for pp in pps}
+    for pp in pps:
+        ctx = make_field_context(pp.p, pp.b)
+        rows = dict(_families(ctx))
+        if pp.q in at_zero:
+            assert ctx.zero_t in rows[(ctx.zero_t, ctx.zero_t) + at_zero[pp.q]]
+        if pp.p == 3:  # both families: a2 = 0, then a4 = 0
+            assert {any(row[1]) for row in rows} == {False, True}
+        for row, a6s in rows.items():
+            counts = _row_counts(ctx, row)
+            for a6 in a6s:
+                n = _count_curve(ctx, 1, row + (a6,))
+                assert counts[ctx.index_of(a6)] == n - 1, (ctx, row, a6)
+
 
 def test_realize_first_match_is_lexicographic():
     curve = realize_trace(7, -1)
