@@ -208,17 +208,21 @@ def _realization_table(pp: PrimePower) -> dict[int, tuple]:
     """trace -> first realizing curve, from one sweep of the class-first rows.
 
     A skipped row maps one-to-one onto an earlier row's curves, so it adds no
-    trace, and every first curve is that of the full family enumeration.
+    trace, and every first curve is that of the full family enumeration.  A
+    singular cubic has q, q + 1 or q + 2 points (its nonsingular points form
+    G_m, G_a or a norm-one torus: Washington, *Elliptic Curves*, 2.10), so
+    only a curve that would first set trace 1, 0 or -1 reads the discriminant.
     """
     key = (pp.p, pp.b)
     table = _REALIZATION_CACHE.get(key)
     if table is None:
         ctx = make_field_context(pp.p, pp.b)
         table = {}
-        for prefix, a6s in _families(ctx):
-            counts = _row_counts(ctx, prefix)
-            for a6 in a6s:
-                table.setdefault(ctx.q - counts[ctx.index_of(a6)], prefix + (a6,))
+        for row in _families(ctx):
+            for count, a6 in zip(_row_counts(ctx, row), ctx.element_tuples()):
+                a = ctx.q - count
+                if a not in table and (a * a > 1 or any(_discriminant_t(ctx, row + (a6,)))):
+                    table[a] = row + (a6,)
         _REALIZATION_CACHE[key] = table
     return table
 
@@ -285,11 +289,11 @@ def _row_counts(ctx: FieldContext, row) -> list[int]:
     return [q + sign * total for sign in signs]
 
 
-def _firsts(rows, key):
-    """The rows whose key no earlier row had, in order."""
+def _firsts(indices, key):
+    """The indices whose key no earlier index had, in order."""
     first = {}
-    for row in rows:
-        first.setdefault(key(row), row)
+    for i in indices:
+        first.setdefault(key(i), i)
     return list(first.values())
 
 
@@ -299,52 +303,44 @@ def _xor_down(x: int, e: int) -> int:
 
 
 def _families(ctx: FieldContext):
-    """(a1, a2, a3, a4) and its nonsingular a6 values, in order, for the
-    first row of each isomorphism class of the realization families.
-
-    The discriminant reduces per family: 4A^3 + 27B^2 up to a unit for
-    p > 3; for p = 3, -a4^3 when a2 = 0 and -a2^3 a6 when a4 = 0; a6 for the
-    ordinary and a3^4 for the supersingular family of p = 2 (each checked
-    against the generic formula in the test suite).  Ordinary traces are
+    """(a1, a2, a3, a4), in order, the first row of each isomorphism class of
+    the realization families, keyed on element indices.  Ordinary traces are
     odd and supersingular ones even, so the first-curve table never has to
     arbitrate between the two families of p = 2.
     """
     elems = ctx.element_tuples()
     zero, one = ctx.zero_t, ctx.one_t
     exp, log, _ = ctx.log_tables()
-    m = ctx.q - 1
+    q, m = ctx.q, ctx.q - 1
 
     def power_class(n):
-        # c ~ u^n c: the class is log c mod gcd(n, q - 1); zero's log is m.
+        # c ~ u^n c: the class is log c mod gcd(n, q - 1), zero apart.
         d = math.gcd(n, m)
-        return lambda c: -1 if not any(c) else log[ctx.index_of(c)] % d
+        return lambda i: log[i] % d if i else -1
 
     if ctx.p > 3:
-        add, mul, smul = ctx.add_t, ctx.mul_t, ctx.smul_t
-        for a in _firsts(elems, power_class(4)):
-            t = smul(4, mul(a, mul(a, a)))
-            yield (zero, zero, zero, a), [b for b in elems if any(add(t, smul(27, mul(b, b))))]
+        for i in _firsts(range(q), power_class(4)):
+            yield zero, zero, zero, elems[i]
     elif ctx.p == 3:
-        for a4 in _firsts(elems[1:], power_class(4)):
-            yield (zero, zero, zero, a4), elems
-        for a2 in _firsts(elems[1:], power_class(2)):
-            yield (zero, a2, zero, zero), elems[1:]
+        for i in _firsts(range(1, q), power_class(4)):
+            yield zero, zero, zero, elems[i]
+        for i in _firsts(range(1, q), power_class(2)):
+            yield zero, elems[i], zero, zero
     else:
         hist = ctx.artin_schreier_counter()
-        for a2 in _firsts(elems, lambda a2: hist[log[ctx.index_of(a2)]] > 0):
-            yield (one, a2, zero, zero), elems[1:]
-        for a3 in _firsts(elems[1:], power_class(3)):
+        for i in _firsts(range(q), lambda i: hist[log[i]] > 0):
+            yield one, elems[i], zero, zero
+        for i3 in _firsts(range(1, q), power_class(3)):
             # Indices add by XOR in characteristic 2, so the image is a
             # subspace of them, and reducing by a basis with distinct leading
             # bits, highest first, gives the least index of a coset.
-            basis = []
+            a3, basis = elems[i3], []
             for k in ctx.poly_logs([one, zero, zero, a3, zero]):
                 v = functools.reduce(_xor_down, basis, 0 if k == m else exp[k])
                 if v:
                     basis = sorted(basis + [v], reverse=True)
-            for a4 in _firsts(elems, lambda a4: functools.reduce(_xor_down, basis,
-                                                                 ctx.index_of(a4))):
-                yield (zero, zero, a3, a4), elems
+            for i in _firsts(range(q), lambda i: functools.reduce(_xor_down, basis, i)):
+                yield zero, zero, a3, elems[i]
 
 
 def check_count_limit(limit: int) -> None:

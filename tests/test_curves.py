@@ -69,10 +69,9 @@ def test_short_form_is_always_singular_in_char2():
 
 @pytest.mark.parametrize("p,b", [(3, 1), (3, 2)])
 def test_char3_family_discriminant_shortcut_matches_generic(p, b):
-    # a2^2 a4^2 - a4^3 - a2^3 a6 is the discriminant of the p = 3 family; the
-    # sweep reads its a4 = 0 case, -a2^3 a6, and its a2 = 0 case, -a4^3, on
-    # the rows it keeps (each checked in the test below).  Confirm the
-    # generic form.
+    # a2^2 a4^2 - a4^3 - a2^3 a6 is the discriminant of the p = 3 family:
+    # pin _discriminant_t, the sweep's one singularity test, on both of its
+    # families (a2 = 0 and a4 = 0) and on every other curve of the form.
     ctx = make_field_context(p, b)
     mul, add, smul = ctx.mul_t, ctx.add_t, ctx.smul_t
 
@@ -105,12 +104,12 @@ def _unreduced_rows(ctx):
 def test_class_first_rows_realize_what_every_curve_does(p, b):
     # Count every nonsingular curve of every row, with the generic
     # discriminant.  A row the sweep skips must count the same multiset as
-    # an earlier row it keeps, a kept row must keep exactly the nonsingular
-    # a6, and the first curve per trace must be the sweep's.
+    # an earlier row it keeps, and the first curve per trace must be the
+    # sweep's, which reads the discriminant only at traces -1, 0 and 1.
     ctx = make_field_context(p, b)
-    kept = dict(_families(ctx))
+    kept = list(_families(ctx))
     rows = _unreduced_rows(ctx)
-    assert [row for row in rows if row in kept] == list(kept)
+    assert [row for row in rows if row in kept] == kept
     kept_counts, table = [], {}
     for row in rows:
         a6s = [a6 for a6 in ctx.element_tuples() if any(_discriminant_t(ctx, row + (a6,)))]
@@ -118,7 +117,6 @@ def test_class_first_rows_realize_what_every_curve_does(p, b):
         for a6, n in zip(a6s, counts):
             table.setdefault(ctx.q + 1 - n, row + (a6,))
         if row in kept:
-            assert kept[row] == a6s, row
             kept_counts.append(sorted(counts))
         else:
             assert sorted(counts) in kept_counts, row
@@ -126,6 +124,8 @@ def test_class_first_rows_realize_what_every_curve_does(p, b):
 
 
 def test_char2_family_discriminant_shortcuts_match_generic():
+    # Pin _discriminant_t, the sweep's one singularity test, on both
+    # families of characteristic 2 at every coefficient pair over GF(4).
     ctx = make_field_context(2, 2)
     one, zero = ctx.one_t, ctx.zero_t
     for x in ctx.element_tuples():
@@ -188,25 +188,33 @@ def test_hasse_bound_for_every_curve_over_small_fields():
 
 def test_row_transform_matches_direct_counts():
     # One transform per row against one direct count per curve, at every a6
-    # of every row of every field q <= 128.  The supersingular rows of
+    # of every row of every field q <= 128, singular curves included: a
+    # singular cubic must have trace -1, 0 or 1, which is all the sweep's
+    # discriminant check relies on.  The supersingular rows of
     # characteristic 2 include a6 = 0, where the sign (-1)^Tr(a6 / a3^2) is
     # +1, not the sign read at log 0: rows (a3, a4) = (1, 1) over GF(2),
     # (t, 0) over GF(4) and (t^3, 0) over GF(16) tell the two apart.
     at_zero = {2: ((1,), (1,)), 4: ((0, 1), (0, 0)), 16: ((0, 0, 0, 1), (0, 0, 0, 0))}
     pps = prime_powers_below(129)
     assert {2, 3, 4, 9, 16, 27, 81} <= {pp.q for pp in pps}
+    singular = 0
     for pp in pps:
         ctx = make_field_context(pp.p, pp.b)
-        rows = dict(_families(ctx))
+        rows = list(_families(ctx))
         if pp.q in at_zero:
-            assert ctx.zero_t in rows[(ctx.zero_t, ctx.zero_t) + at_zero[pp.q]]
+            assert (ctx.zero_t, ctx.zero_t) + at_zero[pp.q] in rows
         if pp.p == 3:  # both families: a2 = 0, then a4 = 0
             assert {any(row[1]) for row in rows} == {False, True}
-        for row, a6s in rows.items():
+        for row in rows:
             counts = _row_counts(ctx, row)
-            for a6 in a6s:
-                n = _count_curve(ctx, 1, row + (a6,))
+            for a6 in ctx.element_tuples():
+                quint = row + (a6,)
+                n = _count_curve(ctx, 1, quint)
                 assert counts[ctx.index_of(a6)] == n - 1, (ctx, row, a6)
+                if not any(_discriminant_t(ctx, quint)):
+                    singular += 1
+                    assert (pp.q + 1 - n) ** 2 <= 1, (ctx, quint)
+    assert singular
 
 
 def test_realize_first_match_is_lexicographic():
