@@ -46,6 +46,7 @@ The short form is singular for every coefficient choice in characteristic
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from collections import Counter
@@ -62,6 +63,7 @@ from .finitefield import (
 from .traces import PrimePower, _checked_q
 
 DEFAULT_COUNT_LIMIT = 1 << 16
+_COUNT_SLICE = 1 << 16  # positions per pass in _count_curve
 REALIZATION_Q_LIMIT = 1024  # realize_trace: at most 8 rows, a transform each (module docstring)
 
 
@@ -143,7 +145,10 @@ def _count_curve(ctx: FieldContext, n: int, quint) -> int:
     in the log domain: ``poly_logs`` finds log L(x) and log u(x), u the
     quotient of x^2 + a2 x + a4 by the highest power x^(e - 1) dividing it;
     one last pass per x multiplies u by x^e, adds a6 by a Zech step, takes
-    off 2 log L(x) and reads the histogram.
+    off 2 log L(x) and reads the histogram.  In odd characteristic log L(x)
+    is the constant 0, so no list holds it.  The positions are taken
+    ``_COUNT_SLICE`` at a time and each slice is summed before the next is
+    evaluated, so a count's lists stay that short over any field.
     """
     a1, a2, a3, a4, a6 = quint
     hist = ctx.artin_schreier_counter() if ctx.p == 2 else ctx.square_counter()
@@ -166,18 +171,20 @@ def _count_curve(ctx: FieldContext, n: int, quint) -> int:
         e += 1
     total = 1
     for weight, positions in ctx.frobenius_orbits(n):
-        us = ctx.poly_logs(u_coeffs, positions)
-        ls = ctx.poly_logs([a1, a3], positions)
-        # x^e u(x) + a6 is a6 where u or x is zero, else one Zech step from it.
-        if c == m:
-            points = [1 if l == m else hist[m if u == m or k == m else (u + e * k - 2 * l) % m]
-                      for k, u, l in zip(positions, us, ls)]
-        else:
-            points = [1 if l == m else hist[(c - 2 * l) % m if u == m or k == m
-                                            else m if (w := zech[(u + e * k - c) % m]) == m
-                                            else (c + w - 2 * l) % m]
-                      for k, u, l in zip(positions, us, ls)]
-        total += weight * sum(points)
+        for start in range(0, len(positions), _COUNT_SLICE):
+            xs = positions[start:start + _COUNT_SLICE]
+            us = ctx.poly_logs(u_coeffs, xs)
+            ls = ctx.poly_logs([a1, a3], xs) if ctx.p == 2 else itertools.repeat(0)
+            # x^e u(x) + a6 is a6 where u or x is zero, else one Zech step from it.
+            if c == m:
+                points = [1 if l == m else hist[m if u == m or k == m else (u + e * k - 2 * l) % m]
+                          for k, u, l in zip(xs, us, ls)]
+            else:
+                points = [1 if l == m else hist[(c - 2 * l) % m if u == m or k == m
+                                                else m if (w := zech[(u + e * k - c) % m]) == m
+                                                else (c + w - 2 * l) % m]
+                          for k, u, l in zip(xs, us, ls)]
+            total += weight * sum(points)
     return total
 
 

@@ -52,10 +52,13 @@ other orbit n times, generated from its base-q' digits.
 The cached tables are flat: exp, log, zech and each orbit set R are 4-byte
 ``array("i")`` (q <= 2^20 fits), 12 bytes per element for the three log
 tables where lists of ints took about 88, and the y-side histograms are
-``bytes``.  Each array is built as a list, which is faster than filling an
-array element by element, and converted once.  A fresh GF(2^16) keeps about
-0.9 MiB of tables (6.2 MiB as lists), and a count over GF(2^20) peaks at
-about 133 MiB RSS (248 MiB as lists).
+``bytes``.  No list of q ints is built on the way: the exp walk and the
+zech map run in blocks of 2^12 powers, each block a list appended to its
+array in one call, and R is appended one least digit at a time.  A fresh
+GF(2^16) keeps about 0.9 MiB of tables and peaks at 2.2 MiB building them
+(6.8 MiB with one list per table, converted once), and a count over
+GF(2^20) peaks at about 47 MiB RSS (133 MiB with the lists converted, 248
+MiB with lists kept).
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .errors import DomainError, ResourceLimitError
 from .numeric import _least_prime_factor, is_prime
 
 DEFAULT_FIELD_SIZE_LIMIT = 1 << 20
+_WALK_BLOCK = 1 << 12  # powers of g per list in log_tables
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -215,6 +219,14 @@ class FieldContext:
         sets a slot's top bit exactly when its digit is at least p, and p
         times those bits, shifted down, is taken off.  Adding 1 steps an
         index's leading digit, so zech is log rotated by q / p, read at exp.
+
+        Both passes run in blocks of ``_WALK_BLOCK`` powers, so no list of q
+        ints is built: a block of the walk extends exp and is scattered into
+        log, preallocated at the sentinel q - 1, and once the half tables
+        are freed, zech extends by a block of exp read through the rotated
+        log.  The half tables, 2^(w h) and 2^(w (b - h)) slots, are the only
+        lists near q long (up to 2q at p = 2), and all their slots but the
+        (2p - 1)^h and (2p - 1)^(b - h) keyed ones hold the one shared 0.
         """
         if self._log_tables is None:
             q, m, p, b = self.q, self.q - 1, self.p, self.b
@@ -233,9 +245,7 @@ class FieldContext:
 
             # rows[j] = g * t^j adds a key digit d <= 2p - 2 and d mod p times its
             # image and index share, reduced; list slots that no key names pad.
-            rows = self._t_rows(self._primitive_element())
-            halves = []
-            for half_rows, scale in ((rows[:h], p ** (b - h)), (rows[h:], 1)):
+            def half_table(half_rows: list[tuple[int, ...]], scale: int) -> list[int]:
                 keys, values = [0], [0]
                 for j, row in enumerate(half_rows):
                     share = scale * p ** (len(half_rows) - 1 - j) << image_bits
@@ -247,17 +257,23 @@ class FieldContext:
                 table = [0] * (1 << (w * len(half_rows)))
                 for k, v in zip(keys, values):
                     table[k] = v
-                halves.append(table)
-            hi, lo = halves
+                return table
+
+            rows = self._t_rows(self._primitive_element())
+            hi, lo = half_table(rows[:h], p ** (b - h)), half_table(rows[h:], 1)
             s = pack(self.one_t)
-            exp = [(s := hi[s >> shift & hi_mask] + lo[s & mask]) >> image_bits
-                   for _ in range(m)]
-            del halves, hi, lo  # q entries each at p = 2
-            log = [m] * q
-            for k, i in enumerate(exp):
-                log[i] = k
-            zech = list(map((log[q // p:] + log[:q // p]).__getitem__, exp))
-            self._log_tables = (array("i", exp), array("i", log), array("i", zech))
+            exp, log = array("i"), array("i", [m]) * q
+            for start in range(0, m, _WALK_BLOCK):
+                block = [(s := hi[s >> shift & hi_mask] + lo[s & mask]) >> image_bits
+                         for _ in range(min(_WALK_BLOCK, m - start))]
+                exp.fromlist(block)
+                for k, i in enumerate(block, start):
+                    log[i] = k
+            del hi, lo  # about q slots each at p = 2
+            rot, zech = log[q // p:] + log[:q // p], array("i")
+            for start in range(0, m, _WALK_BLOCK):
+                zech.fromlist(list(map(rot.__getitem__, exp[start:start + _WALK_BLOCK].tolist())))
+            self._log_tables = (exp, log, zech)
         return self._log_tables
 
     def _primitive_element(self) -> tuple[int, ...]:
@@ -329,7 +345,7 @@ class FieldContext:
             for t in ts:
                 if m % (t - 1) == 0:
                     short.update(range(0, m, m // (t - 1)))
-            reps = []
+            reps = array("i")
             for d in range(q0 if n > 1 else 0):
                 # d, then middle digits > d (above) or >= d with a d (ties).
                 above, ties = [d], []
@@ -340,9 +356,9 @@ class FieldContext:
                 ties = [k * q0 + c for k in ties for c in range(d + 1, q0)]
                 for t in ts[1:-1]:
                     ties = [k for k in ties if k < k * t % m]
-                reps += [k * q0 + c for k in above for c in range(d + 1, q0)] + ties
+                reps.fromlist([k * q0 + c for k in above for c in range(d + 1, q0)] + ties)
             groups = ([(1, range(self.q))] if n == 1
-                      else [(1, sorted(short)), (n, array("i", reps))])
+                      else [(1, sorted(short)), (n, reps)])
             self._frobenius_orbits[n] = groups
         return groups
 

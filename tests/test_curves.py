@@ -370,6 +370,20 @@ def test_base_change_orbit_count_equals_unreduced_count(q):
         n += 1
 
 
+def test_count_over_position_slices_matches_recurrence():
+    # _count_curve takes positions 2^16 at a time.  Over GF(2^17) GF(2)'s two
+    # positions and the 7,710 orbit representatives fit one slice each, while
+    # all 131,072 positions take two, the second ending with x = 0, where
+    # L(x) = x vanishes.
+    curve = realize_trace(2, 1)
+    big = make_field_context(2, 17)
+    quint = tuple(map(embed_field(curve.ctx, big).map_tuple, curve.coefficient_tuples()))
+    *_, last = trace_sequence(2, 1, 17)
+    expected = last.N_n
+    assert base_change_count(curve, 17, limit=1 << 17) == expected
+    assert _count_curve(big, 1, quint) == expected
+
+
 def test_base_change_guard():
     f7 = make_field_context(7, 1)
     curve = short_weierstrass(f7, 0, 2)

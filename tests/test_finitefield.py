@@ -148,6 +148,25 @@ def test_field_tables_are_compact():
     assert retained < 3 << 19
 
 
+@pytest.mark.parametrize("p,b,bound_mib", [(2, 16, 4), (3, 10, 3)])
+def test_table_build_holds_no_full_field_list(monkeypatch, p, b, bound_mib):
+    # log_tables walks the powers of g in blocks into preallocated arrays, so
+    # its peak is the kept tables, a rotated log and the half tables: about
+    # 2.2 MiB at GF(2^16) and 1.4 MiB at GF(3^10).  Lists of q ints, one
+    # per table, peaked at 6.8 and 5.7 MiB.
+    ctx = FieldContext(p, b, _find_modulus(p, b))
+    g = ctx._primitive_element()
+    monkeypatch.setattr(ctx, "_primitive_element", lambda: g)
+    tracemalloc.start()
+    try:
+        tables = ctx.log_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib << 20
+    assert tables == make_field_context(p, b).log_tables()
+
+
 @pytest.mark.parametrize("p,b,method", [(2, 16, "element_tuples"), (3, 10, "square_counter")])
 def test_a_dropped_listing_or_histogram_leaves_nothing_behind(p, b, method):
     # Each call builds its result afresh: once the caller drops it, the
