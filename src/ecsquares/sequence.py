@@ -9,23 +9,30 @@ never materialized: a_n satisfies the integer recurrence
 ``_recurrence`` is the one loop over it, exact in arbitrary precision
 (a_1000 for q = 49 needs about 5615 bits), yielding bare (n, a_n, N_n)
 tuples; ``trace_sequence`` wraps them into ``SequenceTerm``s for listing,
-and ``trace_term`` evaluates one term by doubling, exactly or modulo m.
+and ``trace_term`` evaluates one term by doubling, exactly or modulo m, in
+``_lucas``, the one doubling loop, which also gives q^n.
 ``square_hits_scan`` drops an n only when N_n is a non-residue modulo one of
-the sieve moduli listed here, which proves it is not a square.  Stage 1 walks (a_n, a_(n+1), q^n) modulo each walked
-modulus until the state repeats and tiles what one period excludes: always
-the prime powers 64, 9, 7, 5, 13 and 11, and per pair the primes l in 17..199
-with both eigenvalues in GF(l) while many n survive.  A walk depends only on
-m, q mod m and a mod m, so each is made once per process and tiled per pair.
-Stage 2 reaches each survivor by doubling modulo the other primes' product,
-and drops n when one of them divides N_n but its square does not (an odd
-valuation).  Survivors of both are confirmed exactly, so a term of O(n) bits
-is built only for the few n that may be squares.
+the sieve moduli listed here, which proves it is not a square.  Stage 1
+walks (a_n, a_(n+1), q^n) modulo each walked modulus until the state repeats
+and tiles what one period excludes: always the prime powers 64, 9, 7, 5, 13
+and 11, and per pair the primes l in 17..199 with both eigenvalues in GF(l)
+while many n survive.  A walk depends only on m, q mod m and a mod m, so
+each is made once per process and tiled per pair.  Stage 2 reaches each
+survivor by doubling modulo the product of the leading unwalked primes,
+which fits one CPython digit.  Only a survivor that is a square modulo each
+of them is doubled again, modulo all unwalked primes' product, for the
+others.  Stage 2 drops n at a non-residue, or when an unwalked prime divides
+N_n but its square does not (an odd valuation).  Survivors of both stages
+are confirmed exactly, so a term of O(n) bits is built only for the few n
+that may be squares.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -43,6 +50,9 @@ _JUMP_TABLES = tuple((m, _square_flags(m)) for m in range(17, 200) if is_prime(m
 _SQUARE_FLAGS = dict(_WALK_TABLES + _JUMP_TABLES)
 _WALK_BUDGET = 8
 _WINDOW = 1 << 16
+# Stage 2 first doubles modulo the leading jump primes' product, kept below
+# 2^30 so that every operand is a single CPython digit.
+_ONE_DIGIT = 1 << 30
 
 
 class SequenceTerm(NamedTuple):
@@ -91,14 +101,21 @@ def _recurrence(qv: int, a: int, nmax: int) -> Iterator[tuple[int, int, int]]:
 
 
 def trace_term(q: "int | PrimePower", a: int, n: int, mod: int = 0) -> int:
-    """a_n alone by Lucas doubling, reduced modulo mod when mod is nonzero.
+    """a_n alone by Lucas doubling, reduced modulo mod when mod is nonzero."""
+    qv = _checked_q(q, a).q
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if mod < 0:
+        raise DomainError(f"mod must be >= 0, got {mod}")
+    return _lucas(qv, a, n, mod)[0]
+
+
+def _lucas(qv: int, a: int, n: int, mod: int) -> tuple[int, int]:
+    """(a_n, q^n), reduced modulo mod when mod is nonzero, unchecked.
 
     Walks the bits of n from the top, keeping (a_k, a_(k+1), q^k) and using
     a_2k = a_k^2 - 2q^k and a_(2k+1) = a_k * a_(k+1) - a * q^k.
     """
-    qv = _checked_q(q, a).q
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     v, w, q_k = 2, a, 1
     for bit in bin(n)[2:]:
         if bit == "1":
@@ -107,20 +124,22 @@ def trace_term(q: "int | PrimePower", a: int, n: int, mod: int = 0) -> int:
             v, w, q_k = v * v - 2 * q_k, v * w - a * q_k, q_k * q_k
         if mod:
             v, w, q_k = v % mod, w % mod, q_k % mod
-    return v
+    return v, q_k
 
 
 def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit]:
     """All n <= nmax where the point count over GF(q^n) is a perfect square.
 
     Stage 1 (``_stage_one``) excludes n ``_WINDOW`` at a time, by walks each
-    residue class shares.  Stage 2 takes N_n modulo the unwalked jump primes'
-    product at each survivor, by doubling, tests it against each, and mod l^2
-    for each l that divides it; a survivor of both is a hit when
-    ``perfect_square_root`` of the exact count succeeds.  For a degenerate
-    pair of order m and n = km the count is (c^k - 1)^2 with c = a_m / 2, as
-    in ``guaranteed_square``, a square stage 1 always keeps, so c^k takes one
-    multiply per cycle n.
+    residue class shares.  Stage 2 takes N_n at each survivor by doubling,
+    modulo the leading unwalked jump primes' product (below ``_ONE_DIGIT``),
+    and tests it against each of them in order.  Only a survivor that passes
+    them all is doubled again modulo every unwalked prime's product, tested
+    against the remaining primes, and mod l^2 for each unwalked l that divides
+    it; a survivor of both stages is a hit when ``perfect_square_root`` of the
+    exact count succeeds.  For a degenerate pair of order m and n = km the
+    count is (c^k - 1)^2 with c = a_m / 2, as in ``guaranteed_square``, a
+    square stage 1 always keeps, so c^k takes one multiply per cycle n.
     """
     pp = as_prime_power(q)
     m = classify_degeneracy(pp, a)
@@ -130,7 +149,12 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
     c = None if m is None else _cycle_root(pp, a, m)
     c_k = 1  # c^k at the last cycle n = km
     walks, jumps = _stage_one(qv, a, m, nmax, width)
-    mod2, hits = math.prod(ell for ell, _ in jumps), []
+    # The leading jump primes, the longest prefix whose product is one digit.
+    k = sum(p < _ONE_DIGIT for p in itertools.accumulate(
+        (ell for ell, _ in jumps), operator.mul))
+    lead, rest = jumps[:k], jumps[k:]
+    lead_mod, full_mod = math.prod(ell for ell, _ in lead), math.prod(ell for ell, _ in jumps)
+    hits = []
     for lo in range(1, nmax + 1, width):
         excluded = 0
         for _, mu, lam, tiled in walks:
@@ -146,15 +170,24 @@ def square_hits_scan(q: "int | PrimePower", a: int, nmax: int) -> list[SquareHit
                 c_k *= c
                 u = abs(c_k - 1)
             else:
-                x = pow(qv, n, mod2) + 1 - trace_term(pp, a, n, mod2)
-                # l | N_n with l^2 not dividing it: an odd valuation, no square.
-                if all(table[x % ell] for ell, table in jumps) and all(
-                        x % ell or (pow(qv, n, ell * ell) + 1 - trace_term(pp, a, n, ell * ell))
-                        % (ell * ell) == 0 for ell, _ in jumps):
-                    u = perfect_square_root(qv ** n + 1 - trace_term(pp, a, n))
+                # Most survivors fall to a leading prime, at one-digit cost.
+                x = _count(qv, a, n, lead_mod)
+                if all(table[x % ell] for ell, table in lead):
+                    x = _count(qv, a, n, full_mod)
+                    # l | N_n with l^2 not dividing it: an odd valuation, no square.
+                    if all(table[x % ell] for ell, table in rest) and all(
+                            x % ell or _count(qv, a, n, ell * ell) % (ell * ell) == 0
+                            for ell, _ in jumps):
+                        u = perfect_square_root(_count(qv, a, n, 0))
             if u is not None:
                 hits.append(SquareHit(pp, a, n, u, m, "scan"))
     return hits
+
+
+def _count(qv: int, a: int, n: int, mod: int) -> int:
+    """q^n + 1 - a_n from ``_lucas``: N_n exactly at mod 0, else congruent to it."""
+    a_n, q_n = _lucas(qv, a, n, mod)
+    return q_n + 1 - a_n
 
 
 def _stage_one(qv: int, a: int, m: int | None, nmax: int, width: int) -> tuple[list, list]:

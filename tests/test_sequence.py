@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -78,6 +80,8 @@ def test_sequence_rejects_bad_nmax():
     with pytest.raises(DomainError):
         trace_term(2, 1, 0)
     with pytest.raises(DomainError):
+        trace_term(5, 1, 10, -7)
+    with pytest.raises(DomainError):
         square_hits_scan(2, 1, 0)
     with pytest.raises(DomainError):
         square_hits_scan(49, 14, -5)
@@ -118,7 +122,10 @@ def test_trace_term_matches_recurrence(pair, n):
     q, a = pair
     *_, last = trace_sequence(q, a, n)
     assert trace_term(q, a, n) == last.a_n
-    assert trace_term(q, a, n, 199 * 197) == last.a_n % (199 * 197)
+    assert sequence._lucas(q, a, n, 0) == (last.a_n, q ** n)
+    for mod in (199 * 197, 17 * 19 * 23 * 29 * 31):
+        assert trace_term(q, a, n, mod) == last.a_n % mod
+        assert sequence._lucas(q, a, n, mod) == (last.a_n % mod, pow(q, n, mod))
 
 
 def exact_scan(q, a, nmax):
@@ -212,10 +219,12 @@ SHORT_GAP_PAIRS = [(17, 4), (127, -12), (199, -24), (17, 0)]
 
 def test_stage_two_jump_is_exact_for_long_gaps(monkeypatch):
     """Stage 2 is asked about exactly the n that no walked modulus excludes
-    (less the cycle squares of a degenerate pair), and its doubling modulo the
-    unwalked primes' product lands on N_n: each prime's table sees N_n mod l,
-    in turn, up to the first non-residue.  No state is carried from one
-    survivor to the next, so a gap of 840 terms costs one doubling."""
+    (less the cycle squares of a degenerate pair), and its two doublings land
+    on N_n: the one modulo the leading unwalked primes' product serves their
+    tables, the one modulo all unwalked primes' product, made only when each
+    leading prime passes, the rest.  So each prime's table sees N_n mod l, in
+    turn, up to the first non-residue.  No state is carried from one survivor
+    to the next, so a gap of 840 terms costs at most two doublings."""
     gaps = []
     for q, a in [*LONG_GAP_PAIRS, *SHORT_GAP_PAIRS]:
         m = classify_degeneracy(q, a)
@@ -233,6 +242,40 @@ def test_stage_two_jump_is_exact_for_long_gaps(monkeypatch):
         ns = [0] + [t.n for t in survivors]
         gaps += [hi - lo for lo, hi in zip(ns, ns[1:])]
     assert max(gaps) >= 700
+
+
+def test_stage_two_doubles_at_full_width_only_past_the_leading_primes(monkeypatch):
+    """Each survivor takes one doubling modulo the leading unwalked primes'
+    product, the longest prefix of them below 2^30 (one CPython digit).  Only
+    a survivor whose exact N_n is a square modulo every leading prime takes a
+    second, modulo the product of all unwalked primes; the scan's other
+    doublings are the l^2 valuation tests and the exact confirmations."""
+    lucas = sequence._lucas
+    for q, a in [(2, -1), (7, -1), (17, 6), (47, -1)]:
+        assert classify_degeneracy(q, a) is None
+        walks, unwalked = sieve_plan(q, a, 2000)
+        walked = [w[0] for w in walks]
+        leading = unwalked[:sum(p < 2 ** 30 for p in itertools.accumulate(unwalked, operator.mul))]
+        lead, full = math.prod(leading), math.prod(unwalked)
+        assert lead < 2 ** 30 <= lead * unwalked[len(leading)]
+        expected, survivors = [], 0
+        for t in trace_sequence(q, a, 2000):
+            if all(t.N_n % w in SQUARES_MOD[w] for w in walked):
+                survivors += 1
+                expected.append((t.n, lead))
+                if all(t.N_n % ell in SQUARES_MOD[ell] for ell in leading):
+                    expected.append((t.n, full))
+        moduli = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sequence, "_lucas", lambda qv, a, n, mod:
+                          moduli.append((n, mod)) or lucas(qv, a, n, mod))
+            hits = square_hits_scan(q, a, 2000)
+        assert [(n, mod) for n, mod in moduli if mod in (lead, full)] == expected, (q, a)
+        assert all(mod == 0 or math.isqrt(mod) in unwalked and math.isqrt(mod) ** 2 == mod
+                   for _, mod in moduli if mod not in (lead, full)), (q, a)
+        assert sum(mod == 0 for _, mod in moduli) == len(hits) == len(exact_scan(q, a, 2000))
+        # Some survivors fall to a leading prime and some do not.
+        assert 0 < len(expected) - survivors < survivors, (q, a)
 
 
 def test_every_excluded_n_has_a_residue_proof():
@@ -376,9 +419,11 @@ def test_scan_across_narrow_windows(monkeypatch, window):
 def test_survivors_across_three_windows_are_the_residue_proof_set(monkeypatch):
     """Over more than three windows, stage 2 is asked about exactly the n where
     N_n is a square modulo every walked modulus, split primes included, and
-    its tables see N_n mod each unwalked prime there; a_n and q^n run here
-    modulo the walked moduli's product by the plain per-n recurrence, and the
-    stage-2 residues come from exact ``trace_term``."""
+    its tables see N_n mod each unwalked prime there, the leading primes'
+    from the one-digit doubling and the others' from the full-width one, in
+    one order; a_n and q^n run here modulo the walked moduli's product by the
+    plain per-n recurrence, and the stage-2 residues come from exact
+    ``trace_term``."""
     nmax = 3 * sequence._WINDOW + 1234
     last = []
     for q, a in [(2, -1), (7, -1)]:
